@@ -328,10 +328,28 @@ def _cmd_identities(args) -> int:
     return 3 if failed else 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low (a violation exits 2, naming the flag)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_POSITIVE = _int_at_least(1)
+#: stream windows narrower than this cannot resolve the 2**-20 refinement threshold
+_WINDOW = _int_at_least(32)
+
+
 def _add_output_options(sub, default_format="plain"):
     sub.add_argument("--format", choices=["csv", "json", "plain"],
                      default=default_format, help="output format")
-    sub.add_argument("--digits", type=int, default=6,
+    sub.add_argument("--digits", type=_POSITIVE, default=6,
                      help="significant digits for printed numbers")
 
 
@@ -368,37 +386,37 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log2 partial products and running exponents")
     p.add_argument("--k", required=True,
                    help="rational M/Q, float, or stream spec (random:SEED, ...)")
-    p.add_argument("--nmax", type=int, default=60)
-    p.add_argument("--every", type=int, default=1, help="record every i-th level")
-    p.add_argument("--window", type=int, default=64)
+    p.add_argument("--nmax", type=_POSITIVE, default=60)
+    p.add_argument("--every", type=_POSITIVE, default=1, help="record every i-th level")
+    p.add_argument("--window", type=_WINDOW, default=64)
     _add_output_options(p, default_format="csv")
     p.set_defaults(func=_cmd_riesz_trace)
 
     p = subs.add_parser("weyl", help="equidistribution diagnostics for a stream")
     p.add_argument("--stream", required=True,
                    help="random:SEED | rational:M/Q | flipped:M/Q[:START]")
-    p.add_argument("--samples", type=int, default=16384)
-    p.add_argument("--harmonics", type=int, default=5)
-    p.add_argument("--window", type=int, default=64)
+    p.add_argument("--samples", type=_POSITIVE, default=16384)
+    p.add_argument("--harmonics", type=_POSITIVE, default=5)
+    p.add_argument("--window", type=_WINDOW, default=64)
     _add_output_options(p)
     p.set_defaults(func=_cmd_weyl)
 
     p = subs.add_parser("perturb",
                         help="trace a rational expansion with digit flips at 2^r")
     p.add_argument("--k", required=True, help="rational base, e.g. 1/3")
-    p.add_argument("--nmax", type=int, default=4096)
+    p.add_argument("--nmax", type=_POSITIVE, default=4096)
     p.add_argument("--flip-start", type=int, default=1,
                    help="flip positions 2^r for r >= this exponent")
-    p.add_argument("--window", type=int, default=64)
+    p.add_argument("--window", type=_WINDOW, default=64)
     _add_output_options(p, default_format="csv")
     p.set_defaults(func=_cmd_perturb)
 
     p = subs.add_parser("mix", help="trace a block mixture of two streams")
     p.add_argument("--a", required=True, help="stream spec for odd blocks")
     p.add_argument("--b", required=True, help="stream spec for even blocks")
-    p.add_argument("--nmax", type=int, default=65536)
+    p.add_argument("--nmax", type=_POSITIVE, default=65536)
     p.add_argument("--growth", type=int, default=4, help="block j has length growth^j")
-    p.add_argument("--window", type=int, default=64)
+    p.add_argument("--window", type=_WINDOW, default=64)
     _add_output_options(p, default_format="csv")
     p.set_defaults(func=_cmd_mix)
 

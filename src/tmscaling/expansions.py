@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import riesz
-from .riesz import RieszTrace, log_factor_from_half_dist
+from .riesz import RieszTrace, log_factors
 from .serialize import json_number
 from .streams import (
     DigitStream,
@@ -106,18 +106,15 @@ def weyl_diagnostics(stream: DigitStream, samples: int, harmonics: int,
         raise ValueError(f"samples must be >= 1, got {samples}")
     if harmonics < 1:
         raise ValueError(f"harmonics must be >= 1, got {harmonics}")
-    xs = np.empty(samples)
-    refined = 0
+    sums = np.zeros(harmonics, dtype=complex)
     log_sum = 0.0
-    for i, lvl in enumerate(frac_levels(stream, samples, window=window)):
-        xs[i] = lvl.value
-        log_sum += log_factor_from_half_dist(lvl.half_dist)
-        if lvl.refined:
-            refined += 1
-    moduli = [
-        float(abs(np.exp((2j * np.pi * h) * xs).mean()))
-        for h in range(1, harmonics + 1)
-    ]
+    refined = 0
+    for block in frac_levels(stream, samples, window=window).blocks():
+        for h in range(harmonics):
+            sums[h] += np.exp((2j * np.pi * (h + 1)) * block.value).sum()
+        log_sum += float(np.sum(log_factors(block.half_dist)))
+        refined += int(np.count_nonzero(block.refined))
+    moduli = [float(abs(s / samples)) for s in sums]
     return WeylReport(
         stream=stream.description(),
         samples=samples,

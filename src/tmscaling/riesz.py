@@ -14,6 +14,10 @@ Numerical policy: factors are always evaluated as 2 sin(pi d)**2 where d
 is the exact distance of x_l to the nearest integer (no cancellation near
 x = 1), and a factor is declared zero only when integer arithmetic says
 x_l is exactly 0 — never by floating-point comparison.
+
+The sums run over the array blocks of ``frac_levels``: a whole-product
+log is a sum per block, and a trace is a running sum (``np.cumsum``, in
+level order) from which only the recorded levels become ``TraceSample``s.
 """
 
 from __future__ import annotations
@@ -50,12 +54,10 @@ def log_factor(x: float) -> float:
     return log_factor_from_half_dist(min(x, 1.0 - x))
 
 
-def log_factor_exact(num: int, den: int) -> float:
-    """log2(1 - cos(2 pi num/den)) with the half-distance taken in integers."""
-    num %= den
-    if num == 0:
-        return _NEG_INF
-    return log_factor_from_half_dist(min(num, den - num) / den)
+def log_factors(half_dist: np.ndarray) -> np.ndarray:
+    """``log_factor_from_half_dist`` elementwise: -inf where the distance is 0."""
+    with np.errstate(divide="ignore"):
+        return 1.0 + 2.0 * np.log2(np.sin(np.pi * half_dist))
 
 
 def partial_product_log(k: WaveNumberLike, n: int, window: int = 64) -> float:
@@ -63,10 +65,10 @@ def partial_product_log(k: WaveNumberLike, n: int, window: int = 64) -> float:
     if n < 0:
         raise ValueError(f"level must be non-negative, got {n}")
     total = 0.0
-    for lvl in frac_levels(k, n, window=window):
-        if lvl.is_zero:
+    for block in frac_levels(k, n, window=window).blocks():
+        if block.is_zero.any():
             return _NEG_INF
-        total += log_factor_from_half_dist(lvl.half_dist)
+        total += float(np.sum(log_factors(block.half_dist)))
     return total
 
 
@@ -141,31 +143,35 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None,
     if sample_levels is None:
         wanted = None
     else:
-        wanted = {int(s) for s in sample_levels}
-        bad = [s for s in wanted if not 1 <= s <= n_max]
+        levels = {int(s) for s in sample_levels}
+        bad = [s for s in levels if not 1 <= s <= n_max]
         if bad:
             raise ValueError(f"sample levels outside 1..{n_max}: {sorted(bad)}")
+        wanted = np.array(sorted(levels), dtype=np.int64)
 
     if label is None:
         label = k.label() if isinstance(k, DigitStream) else str(as_wave_number(k))
 
     out = RieszTrace(wave_number=label)
     total = 0.0
-    extinct_at: int | None = None
     refined = 0
-    level = 0
-    for lvl in frac_levels(k, n_max, window=window):
-        if lvl.is_zero and extinct_at is None:
-            extinct_at = level
-        if lvl.refined:
-            refined += 1
-        if extinct_at is None:
-            total += log_factor_from_half_dist(lvl.half_dist)
-        level += 1
-        if wanted is None or level in wanted:
-            log2_f = total if extinct_at is None else _NEG_INF
-            out.samples.append(TraceSample(level, log2_f, log2_f / level))
-    out.extinct_at = extinct_at
+    for block in frac_levels(k, n_max, window=window).blocks():
+        if out.extinct_at is None and block.is_zero.any():
+            out.extinct_at = block.start + int(np.argmax(block.is_zero))
+        refined += int(np.count_nonzero(block.refined))
+        # running sums in level order; a zero factor turns them into -inf for good
+        steps = log_factors(block.half_dist)
+        steps[0] += total
+        log2_f = np.cumsum(steps)
+        total = float(log2_f[-1])
+        m = len(log2_f)
+        if wanted is None:
+            idx = np.arange(m)
+        else:
+            lo, hi = np.searchsorted(wanted, [block.start + 1, block.start + m + 1])
+            idx = wanted[lo:hi] - (block.start + 1)
+        for level, v in zip((idx + (block.start + 1)).tolist(), log2_f[idx].tolist()):
+            out.samples.append(TraceSample(level, v, v / level))
     if isinstance(k, DigitStream):
         out.quality = {"window": window, "near_singular_refined": refined}
     return out

@@ -1,52 +1,83 @@
 """Lazy binary digit streams with memoised prefixes.
 
 A stream represents a number k in [0, 1) through its binary expansion
-0.b1 b2 b3 ...; digit j carries weight 2**-j.  Digits come from a
-deterministic generator and are cached on first read, so windowed reads
-frac(2**n k) are cheap and repeatable.  Streams are single-consumer
+0.b1 b2 b3 ...; digit j carries weight 2**-j.  Digits are cached on first
+read in a growing ``bytearray``, one byte (0 or 1) per digit, so windowed
+reads frac(2**n k) are cheap and repeatable, and ``digits`` hands out
+whole stretches as bytes (``np.frombuffer`` turns them into a ``uint8``
+array without a loop).
+
+A stream's source is either a block source ``fill(start, n)``, returning
+digits start+1 .. start+n as bytes (the constructors below generate their
+digits this way, a block at a time, with big-integer and bytes
+operations), or a plain ``Iterator[int]`` of digits.  Sources are only
+ever asked for the digits a read needs, in order, so an iterator is never
+drawn ahead of the highest position read.  Streams are single-consumer
 (the cache is not locked); independent streams can be used in parallel.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, Union
+
+#: digits a source is asked for at most per call
+_MAX_FILL = 1 << 16
+#: byte -> its top bit
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+#: ASCII '0'/'1' <-> digit bytes 0/1
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+
+BlockSource = Callable[[int, int], bytes]
 
 
 class DigitStream:
-    """Lazy binary expansion with random access via a growing cache."""
+    """Lazy binary expansion with random access via a growing byte cache."""
 
-    def __init__(self, source: Iterator[int], kind: str, params: dict,
-                 label_text: str | None = None):
-        self._source = source
-        self._cache: list[int] = []
+    def __init__(self, source: Union[BlockSource, Iterator[int]], kind: str,
+                 params: dict, label_text: str | None = None):
+        if callable(source):
+            self._fill = source
+        else:
+            self._fill = lambda start, n: bytes(itertools.islice(source, n))
+        self._buf = bytearray()
         self.kind = kind
         self.params = dict(params)
         self._label = label_text
+
+    def _ensure(self, count: int) -> None:
+        """Make digits 1 .. count available in the cache."""
+        while len(self._buf) < count:
+            n = min(count - len(self._buf), _MAX_FILL)
+            block = self._fill(len(self._buf), n)
+            if len(block) != n:
+                raise ValueError(f"digit source ended after {len(self._buf) + len(block)} "
+                                 f"digits; {count} were needed")
+            self._buf += block
 
     def digit(self, j: int) -> int:
         """Digit b_j (0 or 1), 1-indexed."""
         if j < 1:
             raise ValueError(f"digit positions are 1-indexed, got {j}")
-        cache = self._cache
-        source = self._source
-        while len(cache) < j:
-            cache.append(next(source))
-        return cache[j - 1]
+        self._ensure(j)
+        return self._buf[j - 1]
+
+    def digits(self, start: int, stop: int) -> bytes:
+        """Digits start+1 .. stop, one byte (0 or 1) each."""
+        self._ensure(stop)
+        return bytes(self._buf[start:stop])
 
     def prefix(self, count: int) -> list[int]:
         """First ``count`` digits as a list."""
         if count > 0:
-            self.digit(count)
-        return self._cache[:count]
+            self._ensure(count)
+        return list(self._buf[:count])
 
     def window_int(self, shift: int, width: int) -> int:
         """Digits shift+1 .. shift+width packed big-endian into an integer."""
-        self.digit(shift + width)
-        out = 0
-        for b in self._cache[shift:shift + width]:
-            out = (out << 1) | b
-        return out
+        return int(b"0" + self.digits(shift, shift + width).translate(_TO_ASCII), 2)
 
     def frac_window(self, shift: int, width: int = 64) -> float:
         """Truncated fractional part frac(2**shift * k) from a width-digit window.
@@ -69,30 +100,40 @@ class DigitStream:
 
 
 def rational_periodic(num: int, den: int) -> DigitStream:
-    """Exact (eventually periodic) binary expansion of frac(num/den)."""
+    """Exact (eventually periodic) binary expansion of frac(num/den).
+
+    A block of n digits is one integer step: (rem << n) // den, whose n
+    bits are the next n digits, and (rem << n) % den the remainder after
+    them.
+    """
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
+    rem = num % den
 
-    def gen() -> Iterator[int]:
-        rem = num % den
-        while True:
-            rem *= 2
-            yield rem // den
-            rem %= den
+    def fill(start: int, n: int) -> bytes:
+        nonlocal rem
+        block, rem = divmod(rem << n, den)
+        return format(block, f"0{n}b").encode("ascii").translate(_FROM_ASCII)
 
-    return DigitStream(gen(), "rational-periodic", {"num": num % den, "den": den},
+    return DigitStream(fill, "rational-periodic", {"num": num % den, "den": den},
                        label_text=f"rational-periodic({num % den}/{den})")
 
 
 def random_bits(seed: int) -> DigitStream:
-    """Fair-coin digits from a seeded Mersenne Twister (random.Random)."""
+    """Fair-coin digits from a seeded Mersenne Twister (random.Random).
 
-    def gen() -> Iterator[int]:
-        rng = random.Random(seed)
-        while True:
-            yield rng.getrandbits(1)
+    Digit j is the top bit of the generator's j-th 32-bit output, which is
+    what ``getrandbits(1)`` returns.  ``getrandbits(32 * n)`` packs n
+    successive outputs little-endian, so a block of n digits is one call
+    (the top bit of every fourth byte), and the digits do not depend on
+    how reads are split into blocks.
+    """
+    rng = random.Random(seed)
 
-    return DigitStream(gen(), "random-bits", {"seed": seed, "generator": "mt19937"})
+    def fill(start: int, n: int) -> bytes:
+        return rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4].translate(_TOP_BIT)
+
+    return DigitStream(fill, "random-bits", {"seed": seed, "generator": "mt19937"})
 
 
 class PowersOfTwo:
@@ -138,6 +179,13 @@ def _positions_label(positions) -> str:
     return repr(positions)
 
 
+def _positions_between(positions, start: int, stop: int) -> list[int]:
+    """Positions j with start < j <= stop."""
+    if isinstance(positions, PowersOfTwo):
+        return [j for j in positions.positions_upto(stop) if j > start]
+    return [j for j in range(start + 1, stop + 1) if j in positions]
+
+
 def flipped(base: DigitStream, positions=None) -> DigitStream:
     """Stream equal to ``base`` except with digits inverted on ``positions``.
 
@@ -147,15 +195,15 @@ def flipped(base: DigitStream, positions=None) -> DigitStream:
     if positions is None:
         positions = PowersOfTwo(1)
 
-    def gen() -> Iterator[int]:
-        j = 1
-        while True:
-            yield base.digit(j) ^ (1 if j in positions else 0)
-            j += 1
+    def fill(start: int, n: int) -> bytes:
+        block = bytearray(base.digits(start, start + n))
+        for j in _positions_between(positions, start, start + n):
+            block[j - start - 1] ^= 1
+        return block
 
     params = {"base": base.description(), "flips": _describe_positions(positions)}
     label = f"flipped({base.label()},flips={_positions_label(positions)})"
-    return DigitStream(gen(), "flipped", params, label_text=label)
+    return DigitStream(fill, "flipped", params, label_text=label)
 
 
 class BlockMixedStream(DigitStream):
@@ -164,31 +212,38 @@ class BlockMixedStream(DigitStream):
     Block j (1-indexed) has length schedule(j) and draws from stream A for
     odd j, stream B for even j; each source digit keeps its absolute
     position, so a block reproduces a verbatim stretch of its source's
-    expansion.  Block lengths must be strictly increasing.
+    expansion.  Block lengths must be strictly increasing; a violation is
+    raised when a read first reaches the offending block.
     """
 
     def __init__(self, stream_a: DigitStream, stream_b: DigitStream,
                  schedule, params: dict, label_text: str | None = None):
         self._schedule = schedule
+        j = 0          # block holding the last digit filled so far
+        length = 0     # its length
+        end = 0        # its last position
 
-        def gen() -> Iterator[int]:
-            pos = 0
-            prev_len = 0
-            j = 1
-            while True:
-                length = schedule(j)
-                if length <= prev_len:
-                    raise ValueError(
-                        f"block lengths must be strictly increasing "
-                        f"(block {j} has length {length} after {prev_len})")
+        def fill(start: int, n: int) -> bytes:
+            nonlocal j, length, end
+            parts = []
+            pos, stop = start, start + n
+            while pos < stop:
+                if pos == end:
+                    j += 1
+                    new_length = schedule(j)
+                    if new_length <= length:
+                        raise ValueError(
+                            f"block lengths must be strictly increasing "
+                            f"(block {j} has length {new_length} after {length})")
+                    length = new_length
+                    end += length
                 source = stream_a if j % 2 == 1 else stream_b
-                for t in range(pos + 1, pos + length + 1):
-                    yield source.digit(t)
-                pos += length
-                prev_len = length
-                j += 1
+                take = min(stop, end)
+                parts.append(source.digits(pos, take))
+                pos = take
+            return b"".join(parts)
 
-        super().__init__(gen(), "block-mixed", params, label_text=label_text)
+        super().__init__(fill, "block-mixed", params, label_text=label_text)
 
     def block_boundaries(self, limit: int) -> list[int]:
         """Cumulative block end positions up to and including ``limit``."""

@@ -133,14 +133,13 @@ def exp_sum_recursive(n: int, k: WaveNumberLike, window: int = 64) -> Exponentia
     if n < 0:
         raise ValueError(f"level must be non-negative, got {n}")
     g = complex(1.0, 0.0)
-    for lvl in frac_levels(k, n, window=window):
-        if lvl.is_zero:
+    for block in frac_levels(k, n, window=window).blocks():
+        if block.is_zero.any():
             g = complex(0.0, 0.0)
             break
-        s = math.sin(math.pi * lvl.half_dist)
-        c = math.cos(math.pi * lvl.half_dist)
-        if lvl.value > 0.5:
-            c = -c
+        s = np.sin(np.pi * block.half_dist)
+        c = np.cos(np.pi * block.half_dist)
+        c[block.value > 0.5] *= -1.0
         # 1 - exp(-2 pi i x) = 2 sin(pi x) * (sin(pi x) + i cos(pi x))
-        g *= complex(2.0 * s * s, 2.0 * s * c)
+        g *= complex(np.prod((2.0 * s) * (s + 1j * c)))
     return ExponentialSum(level=n, wave_number=k, value=g)

@@ -8,12 +8,17 @@ Dyadic numbers (q = 1) reach 0 exactly and stay there — these are the
 extinction points.
 
 ``frac_levels`` is the one place fractional parts are produced for the
-rest of the package.  It yields, per level, both the value frac(2**l k)
+rest of the package.  It gives, per level, both the value frac(2**l k)
 and its exact distance to the nearest integer, so downstream
-trigonometry never suffers cancellation near 0 or 1.  Rational inputs
-(including floats, which are exact dyadic rationals) use modular integer
-arithmetic; digit streams use a rolling 64-digit window, refined to 128
-digits and flagged when the value sits within 2**-20 of an integer.
+trigonometry never suffers cancellation near 0 or 1.  Consumers read the
+levels as blocks of numpy arrays (``FracLevels.blocks``); iterating
+gives the same levels one ``FracLevel`` at a time.  Rational inputs
+(including floats, which are exact dyadic rationals, and
+``rational-periodic`` digit streams) use modular integer arithmetic,
+walking the numerators until the doubling orbit closes and tiling it
+from there; digit streams read a 64-digit window per level, all windows
+of a block at once as ``uint64`` integers, refined to 128 digits and
+flagged when the value sits within 2**-20 of an integer.
 """
 
 from __future__ import annotations
@@ -21,12 +26,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
+
+import numpy as np
 
 from .streams import DigitStream
 
-#: near-integer threshold that triggers window refinement for streams
-NEAR_SINGULAR = 2.0 ** -20
+#: a stream level within 2**-_NEAR_BITS of an integer is re-read from a doubled window
+_NEAR_BITS = 20
+#: levels per block of the array kernel
+BLOCK = 1 << 14
+#: longest doubling orbit recorded for tiling
+_MAX_PERIOD = 1 << 20
+#: rational levels with a denominator below this are computed in int64 arrays
+_EXACT_INT64 = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -147,58 +160,164 @@ class FracLevel:
     refined: bool
 
 
-def frac_levels(k: WaveNumberLike, count: int | None = None,
-                window: int = 64) -> Iterator[FracLevel]:
-    """Yield FracLevel for levels l = 0, 1, 2, ... (``count`` of them).
+@dataclass(frozen=True, slots=True)
+class LevelBlock:
+    """Levels start, start+1, ... as parallel arrays with FracLevel's fields."""
 
-    Rational inputs iterate numerators exactly: num_{l+1} = 2*num_l mod den.
-    Stream inputs keep a rolling ``window``-digit integer, so each level is
-    O(1) digits of work.
+    start: int
+    value: np.ndarray
+    half_dist: np.ndarray
+    is_zero: np.ndarray
+    refined: np.ndarray
+
+
+class FracLevels:
+    """The levels of one wave number, as array blocks or as FracLevel objects.
+
+    ``blocks(size)`` yields LevelBlocks of at most ``size`` levels, in
+    order; iterating yields one FracLevel per level.  Each pass starts again
+    at level 0 (stream digits are cached, so a second pass reads no new
+    digits).
+    """
+
+    def __init__(self, blocks: Callable[[int], Iterator[LevelBlock]]):
+        self._blocks = blocks
+
+    def blocks(self, size: int = BLOCK) -> Iterator[LevelBlock]:
+        if size < 1:
+            raise ValueError(f"block size must be >= 1, got {size}")
+        return self._blocks(size)
+
+    def __iter__(self) -> Iterator[FracLevel]:
+        for b in self.blocks():
+            for fields in zip(b.value.tolist(), b.half_dist.tolist(),
+                              b.is_zero.tolist(), b.refined.tolist()):
+                yield FracLevel(*fields)
+
+
+def frac_levels(k: WaveNumberLike, count: int | None = None,
+                window: int = 64) -> FracLevels:
+    """The levels l = 0, 1, 2, ... (``count`` of them, unbounded if None) of k.
+
+    Rational inputs, and digit streams of kind ``rational-periodic`` (whose
+    ``num``/``den`` make them rationals), take the exact path: numerators
+    double modulo the denominator in integers until the orbit closes, and
+    the closed orbit is then tiled.  Other streams read ``window``-digit
+    windows, built as ``uint64`` integers when the window has at most 64
+    digits and as Python integers otherwise.
     """
     if isinstance(k, DigitStream):
-        return _stream_frac_levels(k, count, window)
-    return _rational_frac_levels(as_wave_number(k), count)
+        if window < 32:
+            raise ValueError(f"window must be at least 32 digits, got {window}")
+        if k.kind != "rational-periodic":
+            return FracLevels(lambda size: (_stream_block(k, start, stop, window)
+                                            for start, stop in _spans(0, count, size)))
+        k = Fraction(k.params["num"], k.params["den"])
+    wn = as_wave_number(k)
+    return FracLevels(lambda size: _rational_blocks(wn, count, size))
 
 
-def _rational_frac_levels(wn: WaveNumber, count: int | None) -> Iterator[FracLevel]:
-    den = wn.denominator
+def _spans(start: int, count: int | None, size: int) -> Iterator[tuple[int, int]]:
+    """Consecutive level ranges [start, stop) of at most ``size`` levels, up to ``count``."""
+    while count is None or start < count:
+        stop = start + size if count is None else min(start + size, count)
+        yield start, stop
+        start = stop
+
+
+def _rational_arrays(nums: list[int], den: int):
+    """value, half distance and zero mask of the levels with these numerators."""
+    if den < _EXACT_INT64:
+        # int64 -> float64 is exact below 2**53, so each division rounds once, as in Python
+        a = np.array(nums, dtype=np.int64)
+        return a / den, np.minimum(a, den - a) / den, a == 0
+    return (np.array([x / den for x in nums]),
+            np.array([min(x, den - x) / den for x in nums]),
+            np.array([x == 0 for x in nums], dtype=bool))
+
+
+def _rational_blocks(wn: WaveNumber, count: int | None, size: int) -> Iterator[LevelBlock]:
+    """Levels of m / (2**r q): r pre-periodic levels, then the doubling orbit mod q.
+
+    Numerators double in integers until the orbit closes at level r + t
+    (t the period; orbits longer than _MAX_PERIOD are not recorded and
+    are walked to the end), after which the recorded orbit is tiled.
+    """
+    den, r = wn.denominator, wn.r
     num = wn.m
-    produced = 0
-    while count is None or produced < count:
-        if num == 0:
-            yield FracLevel(0.0, 0.0, True, False)
-        else:
-            half_num = min(num, den - num)
-            yield FracLevel(num / den, half_num / den, False, False)
-        num = (2 * num) % den
-        produced += 1
+    orbit: list[int] | None = []   # numerators from level r on
+    for start, stop in _spans(0, count, size):
+        nums = []
+        for level in range(start, stop):
+            if level >= r and orbit is not None:
+                if orbit and num == orbit[0]:
+                    break
+                orbit.append(num)
+                if len(orbit) > _MAX_PERIOD:
+                    orbit = None
+            nums.append(num)
+            num = 2 * num % den
+        if nums:
+            yield LevelBlock(start, *_rational_arrays(nums, den),
+                             np.zeros(len(nums), dtype=bool))
+        if len(nums) < stop - start:
+            break
+    else:
+        return
+    # the orbit closed at level start + len(nums)
+    value, half, zero = _rational_arrays(orbit, den)
+    for start, stop in _spans(start + len(nums), count, size):
+        idx = (np.arange(start, stop) - r) % len(orbit)
+        yield LevelBlock(start, value[idx], half[idx], zero[idx],
+                         np.zeros(stop - start, dtype=bool))
 
 
-def _stream_frac_levels(stream: DigitStream, count: int | None,
-                        window: int) -> Iterator[FracLevel]:
-    if window < 32:
-        raise ValueError(f"window must be at least 32 digits, got {window}")
+def _windows64(bits: np.ndarray, m: int, width: int) -> np.ndarray:
+    """uint64 array whose entry i packs bits[i : i + width] big-endian (width <= 64)."""
+    x = np.zeros(m + 63, dtype=np.uint64)   # zero digits past the end fall off below
+    x[:len(bits)] = bits
+    span = 1
+    while span < 64:
+        # entry i held bits[i : i + span]; now it holds bits[i : i + 2 * span]
+        x = (x[:-span] << span) | x[span:]
+        span *= 2
+    return x >> (64 - width)
+
+
+def _exact_level(d: int, width: int) -> tuple[float, float]:
+    """value and half distance of the width-digit window d, in exact integers.
+
+    A window of all 0s or all 1s only bounds the true distance below by
+    2**-width; it is clamped to half that rather than fabricating a zero.
+    """
+    full = 1 << width
+    half_num = min(d, full - d)
+    return d / full, (half_num / full if half_num else 0.5 / full)
+
+
+def _stream_block(stream: DigitStream, start: int, stop: int,
+                  window: int) -> LevelBlock:
+    """Levels start .. stop-1 of a stream from window-digit reads.
+
+    Level n reads digits n+1 .. n+window; a level within 2**-20 of an
+    integer is read again from 2*window digits, so the block draws digits
+    up to stop-1+window, plus 2*window past a refined level.
+    """
+    m = stop - start
+    near = 1 << (window - _NEAR_BITS)
     mask = (1 << window) - 1
-    scale = float(1 << window)
-    near = max(1, int(NEAR_SINGULAR * scale))
-    d = stream.window_int(0, window)
-    n = 0
-    while count is None or n < count:
-        if d < near or mask - d < near:
-            wide = 2 * window
-            dd = stream.window_int(n, wide)
-            wide_scale = float(1 << wide)
-            half_num = min(dd, (1 << wide) - dd)
-            if half_num == 0:
-                # window is all-0 or all-1 to 2*window digits: the true
-                # distance is below 2**-(2*window); clamp rather than
-                # fabricate an exact zero.
-                half = 1.0 / (2.0 * wide_scale)
-            else:
-                half = half_num / wide_scale
-            yield FracLevel(dd / wide_scale, half, False, True)
-        else:
-            half_num = min(d, (1 << window) - d)
-            yield FracLevel(d / scale, half_num / scale, False, False)
-        n += 1
-        d = ((d << 1) & mask) | stream.digit(n + window)
+    if window <= 64:
+        bits = np.frombuffer(stream.digits(start, stop - 1 + window), dtype=np.uint8)
+        d = _windows64(bits, m, window)
+        refined = (d < near) | (d > mask - near)
+        scale = 2.0 ** -window
+        value = d * scale
+        half = np.minimum(d, mask - d + 1) * scale
+    else:
+        ints = [stream.window_int(n, window) for n in range(start, stop)]
+        refined = np.array([d < near or d > mask - near for d in ints], dtype=bool)
+        value, half = np.array([_exact_level(d, window) for d in ints]).T
+    for i in np.flatnonzero(refined).tolist():
+        value[i], half[i] = _exact_level(stream.window_int(start + i, 2 * window),
+                                         2 * window)
+    return LevelBlock(start, value, half, np.zeros(m, dtype=bool), refined)

@@ -124,6 +124,15 @@ class TestTraceCommand:
         lines = out.strip().splitlines()
         assert lines[-1] == "4,2.33985,0.584963"
 
+    def test_rational_stream_spec_agrees_with_exact_path(self, run_cli):
+        def data(out):
+            return [ln for ln in out.splitlines()
+                    if not ln.startswith(("# tmscaling", "# wave_number"))]
+        _, exact, _ = run_cli("riesz-trace", "--k", "1/4", "--nmax", "6")
+        _, stream, _ = run_cli("riesz-trace", "--k", "rational:1/4", "--nmax", "6")
+        assert "# extinct_at = 2" in stream
+        assert data(stream) == data(exact)
+
     def test_stream_target(self, run_cli):
         code, out, _ = run_cli("riesz-trace", "--k", "random:3", "--nmax", "8",
                                "--format", "json")
@@ -166,6 +175,23 @@ class TestPerturbAndMix:
         assert code == 0
         assert "liminf = -0.979942" in out
         assert "limsup = 0.345673" in out
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("argv,flag", [
+        (("riesz-trace", "--k", "1/3", "--every", "0"), "--every"),
+        (("perturb", "--k", "1/3", "--nmax", "0"), "--nmax"),
+        (("weyl", "--stream", "random:1", "--samples", "0"), "--samples"),
+        (("weyl", "--stream", "random:1", "--harmonics", "-2"), "--harmonics"),
+        (("exponent", "--k", "1/3", "--digits", "-1"), "--digits"),
+        (("mix", "--a", "rational:1/3", "--b", "random:1", "--window", "31"), "--window"),
+    ])
+    def test_out_of_range_value_exits_2_naming_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >=" in err
 
 
 class TestIdentitiesCommand:
