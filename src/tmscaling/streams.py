@@ -10,9 +10,9 @@ array without a loop).
 A stream's source is either a block source ``fill(start, n)``, returning
 digits start+1 .. start+n as bytes (the constructors below generate their
 digits this way, a block at a time, with big-integer and bytes
-operations), or a plain ``Iterator[int]`` of digits.  Sources are only
-ever asked for the digits a read needs, in order, so an iterator is never
-drawn ahead of the highest position read.  Streams are single-consumer
+operations), or an iterable of digits such as an ``Iterator[int]`` or a
+list.  Sources are only ever asked for the digits a read needs, in
+order, so an iterator is never drawn ahead of the highest position read.  Streams are single-consumer
 (the cache is not locked); independent streams can be used in parallel.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 #: digits a source is asked for at most per call
 _MAX_FILL = 1 << 16
@@ -36,12 +36,13 @@ BlockSource = Callable[[int, int], bytes]
 class DigitStream:
     """Lazy binary expansion with random access via a growing byte cache."""
 
-    def __init__(self, source: Union[BlockSource, Iterator[int]], kind: str,
+    def __init__(self, source: Union[BlockSource, Iterable[int]], kind: str,
                  params: dict, label_text: str | None = None):
         if callable(source):
             self._fill = source
         else:
-            self._fill = lambda start, n: bytes(itertools.islice(source, n))
+            digits = iter(source)
+            self._fill = lambda start, n: bytes(itertools.islice(digits, n))
         self._buf = bytearray()
         self.kind = kind
         self.params = dict(params)

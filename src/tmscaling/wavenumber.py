@@ -38,8 +38,6 @@ _NEAR_BITS = 20
 BLOCK = 1 << 14
 #: longest doubling orbit recorded for tiling
 _MAX_PERIOD = 1 << 20
-#: rational levels with a denominator below this are computed in int64 arrays
-_EXACT_INT64 = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -174,19 +172,19 @@ class LevelBlock:
 class FracLevels:
     """The levels of one wave number, as array blocks or as FracLevel objects.
 
-    ``blocks(size)`` yields LevelBlocks of at most ``size`` levels, in
-    order; iterating yields one FracLevel per level.  Each pass starts again
-    at level 0 (stream digits are cached, so a second pass reads no new
-    digits).
+    ``blocks()`` yields LevelBlocks of at most BLOCK levels, in order;
+    iterating yields one FracLevel per level.  Each pass starts again at
+    level 0 (stream digits are cached, so a second pass reads no new
+    digits).  Without a level count, blocks start at one level and double
+    up to BLOCK, so a stream is read at most twice as far ahead as the
+    levels already taken, plus one window.
     """
 
-    def __init__(self, blocks: Callable[[int], Iterator[LevelBlock]]):
+    def __init__(self, blocks: Callable[[], Iterator[LevelBlock]]):
         self._blocks = blocks
 
-    def blocks(self, size: int = BLOCK) -> Iterator[LevelBlock]:
-        if size < 1:
-            raise ValueError(f"block size must be >= 1, got {size}")
-        return self._blocks(size)
+    def blocks(self) -> Iterator[LevelBlock]:
+        return self._blocks()
 
     def __iter__(self) -> Iterator[FracLevel]:
         for b in self.blocks():
@@ -210,33 +208,36 @@ def frac_levels(k: WaveNumberLike, count: int | None = None,
         if window < 32:
             raise ValueError(f"window must be at least 32 digits, got {window}")
         if k.kind != "rational-periodic":
-            return FracLevels(lambda size: (_stream_block(k, start, stop, window)
-                                            for start, stop in _spans(0, count, size)))
+            return FracLevels(lambda: (_stream_block(k, start, stop, window)
+                                       for start, stop in _spans(0, count)))
         k = Fraction(k.params["num"], k.params["den"])
     wn = as_wave_number(k)
-    return FracLevels(lambda size: _rational_blocks(wn, count, size))
+    return FracLevels(lambda: _rational_blocks(wn, count))
 
 
-def _spans(start: int, count: int | None, size: int) -> Iterator[tuple[int, int]]:
-    """Consecutive level ranges [start, stop) of at most ``size`` levels, up to ``count``."""
+def _spans(start: int, count: int | None) -> Iterator[tuple[int, int]]:
+    """Consecutive level ranges [start, stop) of at most BLOCK levels, up to ``count``.
+
+    Unbounded (count None), a range is no longer than the levels before
+    it, so the first ranges are 1, 1, 2, 4, ... levels long.
+    """
     while count is None or start < count:
-        stop = start + size if count is None else min(start + size, count)
+        if count is None:
+            stop = start + min(BLOCK, max(start, 1))
+        else:
+            stop = min(start + BLOCK, count)
         yield start, stop
         start = stop
 
 
 def _rational_arrays(nums: list[int], den: int):
     """value, half distance and zero mask of the levels with these numerators."""
-    if den < _EXACT_INT64:
-        # int64 -> float64 is exact below 2**53, so each division rounds once, as in Python
-        a = np.array(nums, dtype=np.int64)
-        return a / den, np.minimum(a, den - a) / den, a == 0
     return (np.array([x / den for x in nums]),
             np.array([min(x, den - x) / den for x in nums]),
             np.array([x == 0 for x in nums], dtype=bool))
 
 
-def _rational_blocks(wn: WaveNumber, count: int | None, size: int) -> Iterator[LevelBlock]:
+def _rational_blocks(wn: WaveNumber, count: int | None) -> Iterator[LevelBlock]:
     """Levels of m / (2**r q): r pre-periodic levels, then the doubling orbit mod q.
 
     Numerators double in integers until the orbit closes at level r + t
@@ -246,7 +247,7 @@ def _rational_blocks(wn: WaveNumber, count: int | None, size: int) -> Iterator[L
     den, r = wn.denominator, wn.r
     num = wn.m
     orbit: list[int] | None = []   # numerators from level r on
-    for start, stop in _spans(0, count, size):
+    for start, stop in _spans(0, count):
         nums = []
         for level in range(start, stop):
             if level >= r and orbit is not None:
@@ -266,7 +267,7 @@ def _rational_blocks(wn: WaveNumber, count: int | None, size: int) -> Iterator[L
         return
     # the orbit closed at level start + len(nums)
     value, half, zero = _rational_arrays(orbit, den)
-    for start, stop in _spans(start + len(nums), count, size):
+    for start, stop in _spans(start + len(nums), count):
         idx = (np.arange(start, stop) - r) % len(orbit)
         yield LevelBlock(start, value[idx], half[idx], zero[idx],
                          np.zeros(stop - start, dtype=bool))

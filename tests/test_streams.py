@@ -117,3 +117,12 @@ def test_plain_iterator_is_not_drawn_ahead():
     assert drawn == 8
     assert stream.prefix(3) == [1, 0, 1]
     assert drawn == 8
+
+
+def test_list_source_is_read_once_in_order():
+    digits = [1, 1, 0, 1, 0, 0, 0, 1, 1, 0]
+    stream = DigitStream(digits, "listed", {})
+    assert stream.digits(0, 3) == bytes([1, 1, 0])
+    assert stream.digits(2, 10) == bytes(digits[2:])
+    with pytest.raises(ValueError, match="source ended"):
+        stream.digit(11)

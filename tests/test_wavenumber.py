@@ -3,12 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from tmscaling import wavenumber
 from tmscaling.riesz import trace
 from tmscaling.streams import DigitStream, flipped, random_bits, rational_periodic
-from tmscaling.wavenumber import BLOCK, FracLevel, frac_levels
+from tmscaling.wavenumber import FracLevel, frac_levels
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -39,15 +41,21 @@ def reference_stream(digits: list[int], count: int, window: int) -> list[tuple]:
     return out
 
 
+def small_blocks(size):
+    """Run the kernel with blocks of at most ``size`` levels."""
+    return mock.patch.object(wavenumber, "BLOCK", size)
+
+
 def kernel(k, count, window=64, size=None) -> list[tuple]:
-    levels = frac_levels(k, count, window=window)
-    blocks = list(levels.blocks(size) if size else levels.blocks())
-    lengths = [len(b.value) for b in blocks]
-    assert [b.start for b in blocks] == list(itertools.accumulate(lengths, initial=0))[:-1]
-    assert 0 not in lengths and all(n <= (size or BLOCK) for n in lengths)
-    out = [row for b in blocks for row in zip(b.value.tolist(), b.half_dist.tolist(),
-                                               b.is_zero.tolist(), b.refined.tolist())]
-    assert [FracLevel(*row) for row in out] == list(levels)
+    with small_blocks(size or wavenumber.BLOCK):
+        levels = frac_levels(k, count, window=window)
+        blocks = list(levels.blocks())
+        lengths = [len(b.value) for b in blocks]
+        assert [b.start for b in blocks] == list(itertools.accumulate(lengths, initial=0))[:-1]
+        assert 0 not in lengths and all(n <= wavenumber.BLOCK for n in lengths)
+        out = [row for b in blocks for row in zip(b.value.tolist(), b.half_dist.tolist(),
+                                                   b.is_zero.tolist(), b.refined.tolist())]
+        assert [FracLevel(*row) for row in out] == list(levels)
     return out
 
 
@@ -125,8 +133,9 @@ def test_streams_draw_at_most_count_plus_two_windows():
                 drawn = j
                 yield b
 
-        for _ in frac_levels(DigitStream(source(), "counted", {}), count, window).blocks(64):
-            pass
+        with small_blocks(64):
+            for _ in frac_levels(DigitStream(source(), "counted", {}), count, window).blocks():
+                pass
         assert count - 1 + window <= drawn <= count + 2 * window
 
 
@@ -145,3 +154,20 @@ def test_composite_stream_blocks_do_not_depend_on_block_size():
     assert kernel(make(), 5000, size=333) == whole
     digits = make().prefix(5000 + 128)
     assert whole[:300] == reference_stream(digits, 300, 64)
+
+
+def test_unbounded_levels_read_a_finite_iterator_lazily():
+    window = 64
+    digits = runs_of_digits(2, 300)
+    want = reference_stream(digits, 100, window)
+    for make in (iter, list):
+        stream = DigitStream(make(digits), "finite", {})
+        first = next(iter(frac_levels(stream, window=window)))
+        assert FracLevel(*want[0]) == first
+        stream = DigitStream(make(digits), "finite", {})
+        got = list(itertools.islice(frac_levels(stream, window=window), 100))
+        assert got == [FracLevel(*row) for row in want[:100]]
+    with small_blocks(16):
+        for k in (Fraction(1, 9), Fraction(3, 8), rational_periodic(5, 7), random_bits(1)):
+            unbounded = list(itertools.islice(frac_levels(k), 100))
+            assert unbounded == list(frac_levels(k, 100))
