@@ -4,16 +4,15 @@ Every subcommand prints its own invocation line first (as a '#' comment
 in csv/plain output, as an "invocation" field in json), so any output
 file can be regenerated from its header alone.  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 2 usage/validation error,
-3 numeric identity check outside tolerance.
-
-Parallelism for the table/figure enumerations is controlled by the
-TM_SCALING_THREADS environment variable; it never affects output bytes.
+3 numeric identity check outside tolerance.  Table and figure output is
+deterministic: the same arguments always print the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import exponents, expansions, riesz
@@ -40,20 +39,29 @@ def _print_json(obj):
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _spec_int(spec: str, text: str, form: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid stream spec {spec!r}: {text!r} is not an "
+                         f"integer; expected {form}") from None
+
+
 def parse_stream_spec(spec: str) -> DigitStream:
     """Build a digit stream from 'random:SEED', 'rational:M/Q' or 'flipped:M/Q[:START]'."""
     kind, _, rest = spec.partition(":")
     if kind == "random":
         if not rest:
             raise ValueError("random stream needs a seed: random:SEED")
-        return expansions.random_bits(int(rest))
+        return expansions.random_bits(_spec_int(spec, rest, "random:SEED"))
     if kind == "rational":
         wn = WaveNumber.parse(rest)
         return expansions.rational_periodic(wn.m, wn.denominator)
     if kind == "flipped":
         frac, _, start = rest.partition(":")
         wn = WaveNumber.parse(frac)
-        positions = PowersOfTwo(int(start) if start else 1)
+        positions = PowersOfTwo(
+            _spec_int(spec, start, "flipped:M/Q[:START]") if start else 1)
         return expansions.flipped(
             expansions.rational_periodic(wn.m, wn.denominator), positions)
     raise ValueError(
@@ -328,22 +336,37 @@ def _cmd_identities(args) -> int:
     return 3 if failed else 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low (a violation exits 2, naming the flag)."""
+def _bounded_int(low: int | None = None, high: int | None = None):
+    """argparse type: an integer in [low, high] (a violation exits 2, naming the flag)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return parse
 
 
-_POSITIVE = _int_at_least(1)
+_POSITIVE = _bounded_int(1)
 #: stream windows narrower than this cannot resolve the 2**-20 refinement threshold
-_WINDOW = _int_at_least(32)
+_WINDOW = _bounded_int(32)
+#: the identity checks run over every q up to the bound, so it sets their run time
+_ENUMERATION = _bounded_int(high=exponents.MAX_ENUMERATION_BOUND)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float >= 0 (NaN would make every check pass)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
 
 
 def _add_output_options(sub, default_format="plain"):
@@ -421,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mix)
 
     p = subs.add_parser("identities", help="run the analytic identity checks")
-    p.add_argument("--qsum-max", dest="qsum_max", type=int, default=200)
-    p.add_argument("--qmax", type=int, default=105)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--qsum-max", dest="qsum_max", type=_ENUMERATION, default=200)
+    p.add_argument("--qmax", type=_ENUMERATION, default=105)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_output_options(p)
     p.set_defaults(func=_cmd_identities)
 

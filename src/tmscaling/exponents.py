@@ -17,16 +17,12 @@ defect directly.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .numtheory import coset_decomposition, divisors, doubling_orbit, moebius
 from .riesz import log_factor_from_half_dist
 from .serialize import format_float, json_number
 from .wavenumber import RationalLike, as_wave_number
-
-THREADS_ENV_VAR = "TM_SCALING_THREADS"
 
 #: desk-scale guard for the enumeration bounds
 MAX_ENUMERATION_BOUND = 10_000
@@ -36,21 +32,17 @@ MAX_ENUMERATION_BOUND = 10_000
 class ExponentResult:
     """Outcome of an exponent computation.
 
-    ``kind`` is one of 'value' (finite exponent in log-base-2 units),
-    'extinct' (dyadic wave number), or 'oscillating' (no limit;
-    liminf/limsup bounds from a finite trace).
+    ``kind`` is 'value' (finite exponent in log-base-2 units, in
+    ``value``) or 'extinct' (dyadic wave number, ``value`` is None).
     """
 
     kind: str
     value: float | None = None
-    liminf: float | None = None
-    limsup: float | None = None
     method: str = ""
     diagnostics: dict = field(default_factory=dict)
 
     VALUE = "value"
     EXTINCT = "extinct"
-    OSCILLATING = "oscillating"
 
     @property
     def is_extinct(self) -> bool:
@@ -60,12 +52,16 @@ class ExponentResult:
         out: dict = {"kind": self.kind, "method": self.method}
         if self.value is not None:
             out["value"] = json_number(self.value, digits)
-        if self.liminf is not None:
-            out["liminf"] = json_number(self.liminf, digits)
-        if self.limsup is not None:
-            out["limsup"] = json_number(self.limsup, digits)
         out["diagnostics"] = self.diagnostics
         return out
+
+
+def _orbit_mean(orbit: list[int], q: int) -> float:
+    """Average of log2(1 - cos(2 pi n/q)) over the residues n of an orbit."""
+    total = math.fsum(
+        log_factor_from_half_dist(min(n, q - n) / q) for n in orbit
+    )
+    return total / len(orbit)
 
 
 def orbit_log_mean(p: int, q: int) -> float:
@@ -75,11 +71,7 @@ def orbit_log_mean(p: int, q: int) -> float:
     gives the same value, because the orbit of p mod q is gcd(p, q) times
     the orbit of the reduced numerator modulo the reduced denominator.
     """
-    orbit = doubling_orbit(p, q)
-    total = math.fsum(
-        log_factor_from_half_dist(min(n, q - n) / q) for n in orbit
-    )
-    return total / len(orbit)
+    return _orbit_mean(doubling_orbit(p, q), q)
 
 
 def beta_rational(k: RationalLike) -> ExponentResult:
@@ -97,7 +89,7 @@ def beta_rational(k: RationalLike) -> ExponentResult:
             diagnostics={"q": 1, "dyadic_power": wn.r},
         )
     orbit = doubling_orbit(wn.m % wn.q, wn.q)
-    value = orbit_log_mean(wn.m % wn.q, wn.q)
+    value = _orbit_mean(orbit, wn.q)
     min_half = min(min(n, wn.q - n) for n in orbit) / wn.q
     return ExponentResult(
         kind=ExponentResult.VALUE,
@@ -140,7 +132,7 @@ def check_coset_sum_identity(q: int) -> tuple[float, float]:
         if d == 1:
             continue
         dec = coset_decomposition(d)
-        coset_sum = math.fsum(orbit_log_mean(rep, d) for rep in dec.unit_representatives)
+        coset_sum = math.fsum(_orbit_mean(orbit, d) for orbit in dec.unit_orbits)
         parts.append(dec.order_of_two * coset_sum)
     lhs = math.fsum(parts) / (q - 1)
     return lhs, g_closed_form(q)
@@ -155,7 +147,7 @@ def moebius_inverted_coset_sum(q: int) -> tuple[float, float]:
     if q < 3 or q % 2 == 0:
         raise ValueError(f"q must be odd and >= 3, got {q}")
     dec = coset_decomposition(q)
-    lhs = math.fsum(orbit_log_mean(rep, q) for rep in dec.unit_representatives)
+    lhs = math.fsum(_orbit_mean(orbit, q) for orbit in dec.unit_orbits)
     rhs = math.fsum(
         moebius(q // d) * (d - 1) * g_closed_form(d)
         for d in divisors(q)
@@ -164,66 +156,33 @@ def moebius_inverted_coset_sum(q: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _thread_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _positive_rows(q: int) -> list[tuple[int, int, float]]:
-    dec = coset_decomposition(q)
     rows = []
-    for rep in dec.unit_representatives:
-        value = orbit_log_mean(rep, q)
+    for orbit in coset_decomposition(q).unit_orbits:
+        value = _orbit_mean(orbit, q)
         if value > 0.0:
-            rows.append((q, rep, value))
+            rows.append((q, orbit[0], value))
     return rows
 
 
-def _ordered_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(it) for it in items]
-    # executor.map preserves input order, so the assembled output is
-    # identical for every thread count
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def enumerate_positive_exponents(q_max: int, workers: int | None = None
-                                 ) -> list[tuple[int, int, float]]:
+def enumerate_positive_exponents(q_max: int) -> list[tuple[int, int, float]]:
     """(q, representative, exponent) for every positive exponent, odd 5 < q < q_max.
 
     For each q every unit coset is considered once through its smallest
     element; a pair is listed iff the computed double-precision orbit
     average is strictly positive.  Rows are sorted by q, then
-    representative.  ``workers`` defaults to the TM_SCALING_THREADS
-    environment variable (parallelism only — output is identical for any
-    thread count).
+    representative.
     """
     if q_max > MAX_ENUMERATION_BOUND:
         raise ValueError(f"q_max capped at {MAX_ENUMERATION_BOUND}, got {q_max}")
-    qs = range(7, q_max, 2)
-    per_q = _ordered_map(_positive_rows, qs, _thread_count(workers))
-    return [row for rows in per_q for row in rows]
+    return [row for q in range(7, q_max, 2) for row in _positive_rows(q)]
 
 
-def _figure_row(q: int) -> tuple[int, float, float]:
-    return q, orbit_log_mean(1, q), g_closed_form(q)
-
-
-def figure_data(q_max: int, workers: int | None = None
-                ) -> list[tuple[int, float, float]]:
+def figure_data(q_max: int) -> list[tuple[int, float, float]]:
     """(q, exponent of 1/q, g(q)) for odd 3 <= q < q_max, ascending."""
     if q_max > MAX_ENUMERATION_BOUND:
         raise ValueError(f"q_max capped at {MAX_ENUMERATION_BOUND}, got {q_max}")
-    qs = range(3, q_max, 2)
-    return _ordered_map(_figure_row, qs, _thread_count(workers))
+    return [(q, orbit_log_mean(1, q), g_closed_form(q)) for q in range(3, q_max, 2)]
 
 
 TABLE_CSV_HEADER = "q,p,beta"

@@ -1,10 +1,16 @@
 """Shared oracles and the acceptance-criteria summary hook."""
 
 import math
+import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+# tests that run `python -m tmscaling` in a child process need the package
+# on PYTHONPATH too; pyproject's pythonpath only reaches this process
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 
 def euler_phi(n: int) -> int:

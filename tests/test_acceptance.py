@@ -66,7 +66,7 @@ def test_criterion_02_table_reproduction():
     (computed 0.000989) — ten orders of magnitude of headroom.
     """
     start = time.perf_counter()
-    rows = enumerate_positive_exponents(1000, workers=1)
+    rows = enumerate_positive_exponents(1000)
     elapsed = time.perf_counter() - start
 
     got_pairs = [(q, p) for q, p, _ in rows]

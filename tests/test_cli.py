@@ -193,6 +193,28 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be >=" in err
 
+    @pytest.mark.parametrize("flag", ["--qmax", "--qsum-max"])
+    def test_identity_bound_above_enumeration_cap_exits_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["identities", flag, "10001"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be <= 10000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_non_finite_or_negative_tolerance_exits_2(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["identities", "--qmax", "9", "--qsum-max", "9", f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "argument --tol: must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["random:abc", "flipped:1/3:x"])
+    def test_non_integer_in_stream_spec_names_the_spec(self, run_cli, spec):
+        code, out, err = run_cli("weyl", "--stream", spec, "--samples", "8")
+        assert code == 2
+        assert out == ""
+        assert repr(spec) in err
+        assert "invalid literal" not in err
+
 
 class TestIdentitiesCommand:
     def test_passes_at_default_tolerance(self, run_cli):

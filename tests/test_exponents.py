@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from tmscaling.exponents import (
     FIGURE_CSV_HEADER,
@@ -17,11 +18,12 @@ from tmscaling.exponents import (
     orbit_log_mean,
     table_csv_lines,
 )
-from tmscaling.numtheory import mult_order_of_two
+from tmscaling import exponents, numtheory
+from tmscaling.numtheory import doubling_orbit, mult_order_of_two
 from tmscaling.riesz import running_exponent
 from tmscaling.wavenumber import WaveNumber
 
-from conftest import is_prime
+from conftest import brute_divisors, euler_phi, is_prime
 from reference_table import POSITIVE_EXPONENTS_BELOW_1000
 
 LOG2_3_HALVES = math.log2(1.5)
@@ -122,6 +124,15 @@ class TestBetaRational:
             base = orbit_log_mean(p, q)
             for other in ((2 * p) % q, (4 * p) % q):
                 assert orbit_log_mean(other, q) == pytest.approx(base, abs=1e-12)
+
+    @given(q=st.integers(1, 999).map(lambda i: 2 * i + 1), p=st.integers(1, 10 ** 6))
+    def test_coset_rotation_is_bit_equal(self, q, p):
+        # fsum is exactly rounded, so rotating the orbit cannot move a bit
+        p %= q
+        assume(math.gcd(p, q) == 1)
+        value = orbit_log_mean(p, q)
+        assert beta_rational(Fraction(p, q)).value == value
+        assert beta_rational(Fraction(2 * p, q)).value == value
 
     def test_dyadic_prefactor_invariance(self):
         for r in range(7):
@@ -238,9 +249,16 @@ class TestEnumeration:
         assert (q, p) == (17, 3)
         assert beta == pytest.approx(0.266, abs=5e-4)
 
-    def test_thread_count_does_not_change_rows(self):
-        assert enumerate_positive_exponents(150, workers=1) == \
-            enumerate_positive_exponents(150, workers=4)
+    def test_rows_are_orbit_means_of_positive_cosets(self):
+        expected = []
+        for q in range(7, 150, 2):
+            powers = [pow(2, j, q) for j in range(mult_order_of_two(q))]
+            for p in range(1, q):
+                if math.gcd(p, q) == 1 and p == min(p * t % q for t in powers):
+                    value = orbit_log_mean(p, q)
+                    if value > 0.0:
+                        expected.append((q, p, value))
+        assert enumerate_positive_exponents(150) == expected
 
     def test_bound_guard(self):
         with pytest.raises(ValueError):
@@ -249,6 +267,43 @@ class TestEnumeration:
     def test_rows_sorted(self):
         rows = enumerate_positive_exponents(600)
         assert rows == sorted(rows, key=lambda row: (row[0], row[1]))
+
+
+def orbit_count(q: int) -> int:
+    """Number of doubling orbits on {1, ..., q-1}: phi(d) / ord_d(2) per divisor d > 1."""
+    return sum(euler_phi(d) // mult_order_of_two(d) for d in brute_divisors(q) if d > 1)
+
+
+class TestOrbitWalks:
+    """Each doubling orbit is walked once per call: the decomposition's orbits are reused."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+
+        def counted(p, q):
+            calls.append((p % q, q))
+            return doubling_orbit(p, q)
+
+        monkeypatch.setattr(numtheory, "doubling_orbit", counted)
+        monkeypatch.setattr(exponents, "doubling_orbit", counted)
+        return calls
+
+    def test_beta_rational(self, walks):
+        beta_rational(Fraction(3, 4 * 17))
+        assert walks == [(3, 17)]
+
+    def test_enumeration(self, walks):
+        enumerate_positive_exponents(60)
+        assert len(walks) == sum(orbit_count(q) for q in range(7, 60, 2))
+
+    @pytest.mark.parametrize("q", [3, 45, 63, 105])
+    def test_identities(self, walks, q):
+        check_coset_sum_identity(q)
+        assert len(walks) == sum(orbit_count(d) for d in brute_divisors(q) if d > 1)
+        walks.clear()
+        moebius_inverted_coset_sum(q)
+        assert len(walks) == orbit_count(q)
 
 
 class TestFigureData:
