@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Every subcommand prints its own invocation line first (as a '#' comment
-in csv/plain output, as an "invocation" field in json), so any output
-file can be regenerated from its header alone.  Data goes to stdout,
-diagnostics to stderr.  Exit codes: 0 success, 2 usage/validation error,
-3 numeric identity check outside tolerance.  Table and figure output is
-deterministic: the same arguments always print the same bytes.
+in csv/plain output, as an "invocation" field in json).  The line is
+built from the parsed arguments and names every option of the verb, so
+any output file can be regenerated from its header alone.  Data goes to
+stdout, diagnostics to stderr.  Exit codes: 0 success, 2 usage/validation
+error, 3 numeric identity check outside tolerance.  Table and figure
+output is deterministic: the same arguments always print the same bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shlex
 import sys
 
 from . import exponents, expansions, riesz
@@ -23,11 +25,19 @@ from .wavenumber import WaveNumber
 PROG = "tmscaling"
 
 
-def _invocation(verb: str, pairs: list[tuple[str, object]]) -> str:
-    parts = [PROG, verb]
-    for flag, value in pairs:
-        parts.append(f"--{flag}")
-        parts.append(str(value))
+def _invocation(args: argparse.Namespace) -> str:
+    """The command line that reruns ``args``: every option of the verb, in parser order.
+
+    A value that starts with '-' is attached with '=' so that it is not
+    read back as a flag.
+    """
+    parts = [PROG, args.verb]
+    for dest, value in vars(args).items():
+        if dest in ("verb", "func"):
+            continue
+        flag = "--" + dest.replace("_", "-")
+        text = shlex.quote(str(value))
+        parts += [f"{flag}={text}"] if text.startswith("-") else [flag, text]
     return " ".join(parts)
 
 
@@ -40,11 +50,15 @@ def _print_json(obj):
 
 
 def _spec_int(spec: str, text: str, form: str) -> int:
+    """A seed or START field: an integer >= 0."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        raise ValueError(f"invalid stream spec {spec!r}: {text!r} is not an "
-                         f"integer; expected {form}") from None
+        value = -1
+    if value < 0:
+        raise ValueError(f"invalid stream spec {spec!r}: {text!r} is not a "
+                         f"non-negative integer; expected {form}")
+    return value
 
 
 def parse_stream_spec(spec: str) -> DigitStream:
@@ -85,13 +99,11 @@ def _parse_trace_target(text: str):
         raise ValueError(f"cannot interpret {text!r} as a wave number or stream")
 
 
-def _cmd_exponent(args) -> int:
+def _cmd_exponent(args, inv: str) -> int:
     wn = WaveNumber.parse(args.k)
     if args.r:
         wn = wn.with_extra_dyadic_power(args.r)
     result = exponents.beta_rational(wn)
-    inv = _invocation("exponent", [("k", args.k), ("r", args.r),
-                                   ("format", args.format), ("digits", args.digits)])
     canonical = f"{wn} = {wn.m}/(2^{wn.r} * {wn.q})"
     if args.format == "json":
         payload = {"invocation": inv, "k": str(wn), "m": wn.m, "r": wn.r, "q": wn.q}
@@ -126,10 +138,8 @@ def _cmd_exponent(args) -> int:
     return 0
 
 
-def _cmd_gfun(args) -> int:
+def _cmd_gfun(args, inv: str) -> int:
     value = exponents.g_closed_form(args.q)
-    inv = _invocation("gfun", [("q", args.q), ("format", args.format),
-                               ("digits", args.digits)])
     if args.format == "json":
         _print_json({"invocation": inv, "q": args.q,
                      "g_q": json_number(value, args.digits)})
@@ -142,10 +152,8 @@ def _cmd_gfun(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args, inv: str) -> int:
     rows = exponents.enumerate_positive_exponents(args.qmax)
-    inv = _invocation("table", [("qmax", args.qmax), ("format", args.format),
-                                ("digits", args.digits)])
     if args.format == "json":
         _print_json({"invocation": inv,
                      "rows": exponents.table_json_rows(rows, args.digits)})
@@ -159,10 +167,8 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args, inv: str) -> int:
     rows = exponents.figure_data(args.qmax)
-    inv = _invocation("figure", [("qmax", args.qmax), ("format", args.format),
-                                 ("digits", args.digits)])
     if args.format == "json":
         _print_json({"invocation": inv,
                      "rows": exponents.figure_json_rows(rows, args.digits)})
@@ -176,13 +182,10 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _cmd_riesz_trace(args) -> int:
+def _cmd_riesz_trace(args, inv: str) -> int:
     target = _parse_trace_target(args.k)
     levels = range(args.every, args.nmax + 1, args.every)
-    tr = riesz.trace(target, args.nmax, sample_levels=levels, window=args.window)
-    inv = _invocation("riesz-trace", [("k", args.k), ("nmax", args.nmax),
-                                      ("every", args.every), ("format", args.format),
-                                      ("digits", args.digits)])
+    tr = riesz.trace(target, args.nmax, sample_levels=levels)
     if args.format == "json":
         payload = {"invocation": inv}
         payload.update(tr.to_json_dict(args.digits))
@@ -196,13 +199,9 @@ def _cmd_riesz_trace(args) -> int:
     return 0
 
 
-def _cmd_weyl(args) -> int:
+def _cmd_weyl(args, inv: str) -> int:
     stream = parse_stream_spec(args.stream)
-    report = expansions.weyl_diagnostics(stream, args.samples, args.harmonics,
-                                         window=args.window)
-    inv = _invocation("weyl", [("stream", args.stream), ("samples", args.samples),
-                               ("harmonics", args.harmonics),
-                               ("format", args.format), ("digits", args.digits)])
+    report = expansions.weyl_diagnostics(stream, args.samples, args.harmonics)
     if args.format == "json":
         payload = {"invocation": inv}
         payload.update(report.to_json_dict(args.digits))
@@ -224,14 +223,10 @@ def _cmd_weyl(args) -> int:
     return 0
 
 
-def _cmd_perturb(args) -> int:
+def _cmd_perturb(args, inv: str) -> int:
     wn = WaveNumber.parse(args.k)
     positions = PowersOfTwo(args.flip_start)
-    tr = expansions.perturbed_exponent_trace(wn, positions, n_max=args.nmax,
-                                             window=args.window)
-    inv = _invocation("perturb", [("k", args.k), ("nmax", args.nmax),
-                                  ("flip-start", args.flip_start),
-                                  ("format", args.format), ("digits", args.digits)])
+    tr = expansions.perturbed_exponent_trace(wn, positions, n_max=args.nmax)
     final = tr.final_running_exponent
     if args.format == "json":
         payload = {"invocation": inv,
@@ -249,15 +244,11 @@ def _cmd_perturb(args) -> int:
     return 0
 
 
-def _cmd_mix(args) -> int:
+def _cmd_mix(args, inv: str) -> int:
     stream_a = parse_stream_spec(args.a)
     stream_b = parse_stream_spec(args.b)
     tr, lo, hi = expansions.mixed_exponent_trace(stream_a, stream_b, args.nmax,
-                                                 growth=args.growth,
-                                                 window=args.window)
-    inv = _invocation("mix", [("a", args.a), ("b", args.b), ("nmax", args.nmax),
-                              ("growth", args.growth), ("format", args.format),
-                              ("digits", args.digits)])
+                                                 growth=args.growth)
     if args.format == "json":
         payload = {"invocation": inv,
                    "liminf": json_number(lo, args.digits),
@@ -278,7 +269,7 @@ def _cmd_mix(args) -> int:
     return 0
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args, inv: str) -> int:
     worst_qsum = (0.0, None)
     for n in range(2, args.qsum_max + 1):
         lhs, rhs = riesz.check_qsum(n)
@@ -295,8 +286,6 @@ def _cmd_identities(args) -> int:
         if abs(lhs - rhs) > worst_moebius[0]:
             worst_moebius = (abs(lhs - rhs), q)
 
-    inv = _invocation("identities", [("qsum-max", args.qsum_max),
-                                     ("qmax", args.qmax), ("tol", args.tol)])
     failed = (worst_qsum[0] > args.tol or worst_coset[0] > args.tol
               or worst_moebius[0] > args.tol)
     status = "FAIL" if failed else "ok"
@@ -351,11 +340,11 @@ def _bounded_int(low: int | None = None, high: int | None = None):
     return parse
 
 
+_NON_NEGATIVE = _bounded_int(0)
 _POSITIVE = _bounded_int(1)
-#: stream windows narrower than this cannot resolve the 2**-20 refinement threshold
-_WINDOW = _bounded_int(32)
-#: the identity checks run over every q up to the bound, so it sets their run time
-_ENUMERATION = _bounded_int(high=exponents.MAX_ENUMERATION_BOUND)
+#: table, figure and the identity checks run over every q up to the bound,
+#: so it sets their run time
+_ENUMERATION = _bounded_int(1, exponents.MAX_ENUMERATION_BOUND)
 
 
 def _tolerance(text: str) -> float:
@@ -369,11 +358,12 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_output_options(sub, default_format="plain"):
+def _add_output_options(sub, default_format="plain", digits=True):
     sub.add_argument("--format", choices=["csv", "json", "plain"],
                      default=default_format, help="output format")
-    sub.add_argument("--digits", type=_POSITIVE, default=6,
-                     help="significant digits for printed numbers")
+    if digits:
+        sub.add_argument("--digits", type=_POSITIVE, default=6,
+                         help="significant digits for printed numbers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("exponent", help="exponent of a rational wave number")
     p.add_argument("--k", required=True, help="rational wave number, e.g. 3/17")
-    p.add_argument("--r", type=int, default=0,
+    p.add_argument("--r", type=_NON_NEGATIVE, default=0,
                    help="extra dyadic power: evaluate k / 2**r")
     _add_output_options(p)
     p.set_defaults(func=_cmd_exponent)
@@ -396,12 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gfun)
 
     p = subs.add_parser("table", help="all positive exponents for odd 5 < q < qmax")
-    p.add_argument("--qmax", type=int, default=1000)
+    p.add_argument("--qmax", type=_ENUMERATION, default=1000)
     _add_output_options(p, default_format="csv")
     p.set_defaults(func=_cmd_table)
 
     p = subs.add_parser("figure", help="exponent of 1/q and g(q) for odd q < qmax")
-    p.add_argument("--qmax", type=int, default=1050)
+    p.add_argument("--qmax", type=_ENUMERATION, default=1050)
     _add_output_options(p, default_format="csv")
     p.set_defaults(func=_cmd_figure)
 
@@ -411,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rational M/Q, float, or stream spec (random:SEED, ...)")
     p.add_argument("--nmax", type=_POSITIVE, default=60)
     p.add_argument("--every", type=_POSITIVE, default=1, help="record every i-th level")
-    p.add_argument("--window", type=_WINDOW, default=64)
     _add_output_options(p, default_format="csv")
     p.set_defaults(func=_cmd_riesz_trace)
 
@@ -420,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random:SEED | rational:M/Q | flipped:M/Q[:START]")
     p.add_argument("--samples", type=_POSITIVE, default=16384)
     p.add_argument("--harmonics", type=_POSITIVE, default=5)
-    p.add_argument("--window", type=_WINDOW, default=64)
     _add_output_options(p)
     p.set_defaults(func=_cmd_weyl)
 
@@ -428,9 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace a rational expansion with digit flips at 2^r")
     p.add_argument("--k", required=True, help="rational base, e.g. 1/3")
     p.add_argument("--nmax", type=_POSITIVE, default=4096)
-    p.add_argument("--flip-start", type=int, default=1,
+    p.add_argument("--flip-start", type=_NON_NEGATIVE, default=1,
                    help="flip positions 2^r for r >= this exponent")
-    p.add_argument("--window", type=_WINDOW, default=64)
     _add_output_options(p, default_format="csv")
     p.set_defaults(func=_cmd_perturb)
 
@@ -438,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="stream spec for odd blocks")
     p.add_argument("--b", required=True, help="stream spec for even blocks")
     p.add_argument("--nmax", type=_POSITIVE, default=65536)
-    p.add_argument("--growth", type=int, default=4, help="block j has length growth^j")
-    p.add_argument("--window", type=_WINDOW, default=64)
+    p.add_argument("--growth", type=_bounded_int(2), default=4,
+                   help="block j has length growth^j")
     _add_output_options(p, default_format="csv")
     p.set_defaults(func=_cmd_mix)
 
@@ -447,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qsum-max", dest="qsum_max", type=_ENUMERATION, default=200)
     p.add_argument("--qmax", type=_ENUMERATION, default=105)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    _add_output_options(p)
+    _add_output_options(p, digits=False)
     p.set_defaults(func=_cmd_identities)
 
     return parser
@@ -457,7 +444,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _invocation(args))
     except ValueError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,7 @@ from .streams import (
     random_bits,
     rational_periodic,
 )
-from .wavenumber import RationalLike, as_wave_number, frac_levels
+from .wavenumber import WINDOW, RationalLike, as_wave_number, frac_levels
 
 __all__ = [
     "DigitStream",
@@ -76,7 +76,8 @@ class WeylReport:
     ``weyl_moduli[h-1]`` is |mean of exp(2 pi i h x_n)| for harmonic h;
     all moduli tend to 0 exactly when the sequence is equidistributed.
     ``mean_log_factor`` is the running exponent after ``samples`` levels,
-    which tends to -1 in the equidistributed case.
+    which tends to -1 in the equidistributed case.  ``near_singular_refined``
+    counts the levels re-read from a doubled window.
     """
 
     stream: dict
@@ -84,7 +85,6 @@ class WeylReport:
     harmonics: int
     weyl_moduli: list[float]
     mean_log_factor: float
-    window: int = 64
     near_singular_refined: int = 0
 
     def to_json_dict(self, digits: int = 9) -> dict:
@@ -94,13 +94,12 @@ class WeylReport:
             "harmonics": self.harmonics,
             "weyl_moduli": [json_number(w, digits) for w in self.weyl_moduli],
             "mean_log_factor": json_number(self.mean_log_factor, digits),
-            "window": self.window,
+            "window": WINDOW,
             "near_singular_refined": self.near_singular_refined,
         }
 
 
-def weyl_diagnostics(stream: DigitStream, samples: int, harmonics: int,
-                     window: int = 64) -> WeylReport:
+def weyl_diagnostics(stream: DigitStream, samples: int, harmonics: int) -> WeylReport:
     """Weyl sums for harmonics 1..``harmonics`` plus the mean log factor."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -109,7 +108,7 @@ def weyl_diagnostics(stream: DigitStream, samples: int, harmonics: int,
     sums = np.zeros(harmonics, dtype=complex)
     log_sum = 0.0
     refined = 0
-    for block in frac_levels(stream, samples, window=window).blocks():
+    for block in frac_levels(stream, samples).blocks():
         for h in range(harmonics):
             sums[h] += np.exp((2j * np.pi * (h + 1)) * block.value).sum()
         log_sum += float(np.sum(log_factors(block.half_dist)))
@@ -121,30 +120,18 @@ def weyl_diagnostics(stream: DigitStream, samples: int, harmonics: int,
         harmonics=harmonics,
         weyl_moduli=moduli,
         mean_log_factor=log_sum / samples,
-        window=window,
         near_singular_refined=refined,
     )
 
 
-def _default_sample_levels(n_max: int, keep: int = 4096) -> list[int]:
-    """All levels when few, else an even stride that always includes n_max."""
-    if n_max <= keep:
-        return list(range(1, n_max + 1))
-    stride = math.ceil(n_max / keep)
-    levels = list(range(stride, n_max + 1, stride))
-    if levels[-1] != n_max:
-        levels.append(n_max)
-    return levels
-
-
 def perturbed_exponent_trace(base: RationalLike, positions=None,
-                             n_max: int = 4096, window: int = 64,
-                             sample_levels=None) -> RieszTrace:
+                             n_max: int = 4096) -> RieszTrace:
     """Running-exponent trace of a rational expansion with flipped digits.
 
     ``base`` must have an odd denominator part (non-extinct); ``positions``
     defaults to flips at 2, 4, 8, ...  The trace converges toward the base
-    rational's exponent as the flips thin out.
+    rational's exponent as the flips thin out.  Every level up to 4096 is
+    recorded; beyond that an even stride of about 4096 levels, plus ``n_max``.
     """
     wn = as_wave_number(base)
     if wn.is_dyadic:
@@ -152,14 +139,13 @@ def perturbed_exponent_trace(base: RationalLike, positions=None,
     if positions is None:
         positions = PowersOfTwo(1)
     stream = flipped(rational_periodic(wn.m, wn.denominator), positions)
-    if sample_levels is None:
-        sample_levels = _default_sample_levels(n_max)
-    return riesz.trace(stream, n_max, sample_levels=sample_levels, window=window)
+    stride = max(1, math.ceil(n_max / 4096))
+    levels = {*range(stride, n_max + 1, stride), n_max}
+    return riesz.trace(stream, n_max, sample_levels=levels)
 
 
 def mixed_exponent_trace(stream_a: DigitStream, stream_b: DigitStream,
-                         n_max: int, schedule=None, growth: int = 4,
-                         window: int = 64) -> tuple[RieszTrace, float, float]:
+                         n_max: int, growth: int = 4) -> tuple[RieszTrace, float, float]:
     """Trace a block mixture and report (trace, liminf, limsup).
 
     The running exponent is recorded at every block boundary up to
@@ -169,10 +155,7 @@ def mixed_exponent_trace(stream_a: DigitStream, stream_b: DigitStream,
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    mixed = block_mixed(stream_a, stream_b, schedule=schedule, growth=growth)
-    checkpoints = mixed.block_boundaries(n_max)
-    if not checkpoints or checkpoints[-1] != n_max:
-        checkpoints.append(n_max)
-    tr = riesz.trace(mixed, n_max, sample_levels=checkpoints, window=window)
+    mixed = block_mixed(stream_a, stream_b, growth=growth)
+    tr = riesz.trace(mixed, n_max, sample_levels={*mixed.block_boundaries(n_max), n_max})
     running = tr.running_exponents()
     return tr, min(running), max(running)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .serialize import format_float, json_number
 from .streams import DigitStream
-from .wavenumber import WaveNumberLike, as_wave_number, frac_levels
+from .wavenumber import WINDOW, WaveNumberLike, as_wave_number, frac_levels
 
 LOG2 = math.log(2.0)
 _NEG_INF = float("-inf")
@@ -60,23 +60,23 @@ def log_factors(half_dist: np.ndarray) -> np.ndarray:
         return 1.0 + 2.0 * np.log2(np.sin(np.pi * half_dist))
 
 
-def partial_product_log(k: WaveNumberLike, n: int, window: int = 64) -> float:
+def partial_product_log(k: WaveNumberLike, n: int) -> float:
     """log2 f_n(k): sum of log factors over levels 0 .. n-1; -inf once extinct."""
     if n < 0:
         raise ValueError(f"level must be non-negative, got {n}")
     total = 0.0
-    for block in frac_levels(k, n, window=window).blocks():
+    for block in frac_levels(k, n).blocks():
         if block.is_zero.any():
             return _NEG_INF
         total += float(np.sum(log_factors(block.half_dist)))
     return total
 
 
-def running_exponent(k: WaveNumberLike, n: int, window: int = 64) -> float:
+def running_exponent(k: WaveNumberLike, n: int) -> float:
     """Exponent estimate log2(f_n(k)) / n at level n >= 1."""
     if n < 1:
         raise ValueError(f"running exponent needs n >= 1, got {n}")
-    return partial_product_log(k, n, window=window) / n
+    return partial_product_log(k, n) / n
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,9 +91,11 @@ class RieszTrace:
     """Sampled history of (n, log2 f_n, log2 f_n / n) for one wave number.
 
     ``extinct_at`` is the first level whose factor vanishes (dyadic k
-    only); beyond it both recorded quantities are -inf.  ``quality``
-    records the stream window width and how many samples needed the
-    near-singular refinement.
+    only); beyond it both recorded quantities are -inf.  For a digit stream
+    ``quality`` records the window width (``wavenumber.WINDOW`` digits) and
+    how many levels needed the near-singular refinement (none for
+    rational-periodic streams, which take the exact path); it is empty for
+    rational wave numbers.
     """
 
     wave_number: str
@@ -131,8 +133,7 @@ class RieszTrace:
         }
 
 
-def trace(k: WaveNumberLike, n_max: int, sample_levels=None,
-          window: int = 64, label: str | None = None) -> RieszTrace:
+def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
     """Build a RieszTrace up to level ``n_max``.
 
     ``sample_levels`` restricts which levels are recorded (default: all of
@@ -149,13 +150,11 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None,
             raise ValueError(f"sample levels outside 1..{n_max}: {sorted(bad)}")
         wanted = np.array(sorted(levels), dtype=np.int64)
 
-    if label is None:
-        label = k.label() if isinstance(k, DigitStream) else str(as_wave_number(k))
-
+    label = k.label() if isinstance(k, DigitStream) else str(as_wave_number(k))
     out = RieszTrace(wave_number=label)
     total = 0.0
     refined = 0
-    for block in frac_levels(k, n_max, window=window).blocks():
+    for block in frac_levels(k, n_max).blocks():
         if out.extinct_at is None and block.is_zero.any():
             out.extinct_at = block.start + int(np.argmax(block.is_zero))
         refined += int(np.count_nonzero(block.refined))
@@ -173,7 +172,7 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None,
         for level, v in zip((idx + (block.start + 1)).tolist(), log2_f[idx].tolist()):
             out.samples.append(TraceSample(level, v, v / level))
     if isinstance(k, DigitStream):
-        out.quality = {"window": window, "near_singular_refined": refined}
+        out.quality = {"window": WINDOW, "near_singular_refined": refined}
     return out
 
 

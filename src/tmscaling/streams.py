@@ -127,8 +127,12 @@ def random_bits(seed: int) -> DigitStream:
     what ``getrandbits(1)`` returns.  ``getrandbits(32 * n)`` packs n
     successive outputs little-endian, so a block of n digits is one call
     (the top bit of every fourth byte), and the digits do not depend on
-    how reads are split into blocks.
+    how reads are split into blocks.  The seed must be >= 0:
+    ``random.Random`` seeds with the absolute value, so -N would repeat
+    the digits of N.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
 
     def fill(start: int, n: int) -> bytes:

@@ -123,7 +123,7 @@ def exp_sum_direct(n: int, k: WaveNumberLike) -> ExponentialSum:
     return ExponentialSum(level=n, wave_number=k, value=complex(re, im))
 
 
-def exp_sum_recursive(n: int, k: WaveNumberLike, window: int = 64) -> ExponentialSum:
+def exp_sum_recursive(n: int, k: WaveNumberLike) -> ExponentialSum:
     """g_n(k) via the doubling recursion: product of (1 - exp(-2 pi i x_l)).
 
     Each factor is assembled from sin/cos at the exact distance of x_l to
@@ -133,7 +133,7 @@ def exp_sum_recursive(n: int, k: WaveNumberLike, window: int = 64) -> Exponentia
     if n < 0:
         raise ValueError(f"level must be non-negative, got {n}")
     g = complex(1.0, 0.0)
-    for block in frac_levels(k, n, window=window).blocks():
+    for block in frac_levels(k, n).blocks():
         if block.is_zero.any():
             g = complex(0.0, 0.0)
             break

@@ -32,6 +32,8 @@ import numpy as np
 
 from .streams import DigitStream
 
+#: digits a stream level reads (one uint64 per level)
+WINDOW = 64
 #: a stream level within 2**-_NEAR_BITS of an integer is re-read from a doubled window
 _NEAR_BITS = 20
 #: levels per block of the array kernel
@@ -194,19 +196,18 @@ class FracLevels:
 
 
 def frac_levels(k: WaveNumberLike, count: int | None = None,
-                window: int = 64) -> FracLevels:
+                window: int = WINDOW) -> FracLevels:
     """The levels l = 0, 1, 2, ... (``count`` of them, unbounded if None) of k.
 
     Rational inputs, and digit streams of kind ``rational-periodic`` (whose
     ``num``/``den`` make them rationals), take the exact path: numerators
     double modulo the denominator in integers until the orbit closes, and
     the closed orbit is then tiled.  Other streams read ``window``-digit
-    windows, built as ``uint64`` integers when the window has at most 64
-    digits and as Python integers otherwise.
+    windows (32 to 64 digits), built as ``uint64`` integers.
     """
     if isinstance(k, DigitStream):
-        if window < 32:
-            raise ValueError(f"window must be at least 32 digits, got {window}")
+        if not 32 <= window <= 64:
+            raise ValueError(f"window must be 32 to 64 digits, got {window}")
         if k.kind != "rational-periodic":
             return FracLevels(lambda: (_stream_block(k, start, stop, window)
                                        for start, stop in _spans(0, count)))
@@ -307,17 +308,12 @@ def _stream_block(stream: DigitStream, start: int, stop: int,
     m = stop - start
     near = 1 << (window - _NEAR_BITS)
     mask = (1 << window) - 1
-    if window <= 64:
-        bits = np.frombuffer(stream.digits(start, stop - 1 + window), dtype=np.uint8)
-        d = _windows64(bits, m, window)
-        refined = (d < near) | (d > mask - near)
-        scale = 2.0 ** -window
-        value = d * scale
-        half = np.minimum(d, mask - d + 1) * scale
-    else:
-        ints = [stream.window_int(n, window) for n in range(start, stop)]
-        refined = np.array([d < near or d > mask - near for d in ints], dtype=bool)
-        value, half = np.array([_exact_level(d, window) for d in ints]).T
+    bits = np.frombuffer(stream.digits(start, stop - 1 + window), dtype=np.uint8)
+    d = _windows64(bits, m, window)
+    refined = (d < near) | (d > mask - near)
+    scale = 2.0 ** -window
+    value = d * scale
+    half = np.minimum(d, mask - d + 1) * scale
     for i in np.flatnonzero(refined).tolist():
         value[i], half[i] = _exact_level(stream.window_int(start + i, 2 * window),
                                          2 * window)

@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 
@@ -10,7 +11,10 @@ from tmscaling.cli import main
 @pytest.fixture
 def run_cli(capsys):
     def run(*argv):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:   # argparse rejects the arguments
+            code = exc.code
         captured = capsys.readouterr()
         return code, captured.out, captured.err
     return run
@@ -184,7 +188,13 @@ class TestArgumentValidation:
         (("weyl", "--stream", "random:1", "--samples", "0"), "--samples"),
         (("weyl", "--stream", "random:1", "--harmonics", "-2"), "--harmonics"),
         (("exponent", "--k", "1/3", "--digits", "-1"), "--digits"),
-        (("mix", "--a", "rational:1/3", "--b", "random:1", "--window", "31"), "--window"),
+        (("table", "--qmax", "-5"), "--qmax"),
+        (("figure", "--qmax", "0"), "--qmax"),
+        (("identities", "--qmax", "0"), "--qmax"),
+        (("identities", "--qsum-max", "0"), "--qsum-max"),
+        (("exponent", "--k", "1/3", "--r", "-1"), "--r"),
+        (("perturb", "--k", "1/3", "--flip-start", "-1"), "--flip-start"),
+        (("mix", "--a", "rational:1/3", "--b", "random:1", "--growth", "1"), "--growth"),
     ])
     def test_out_of_range_value_exits_2_naming_the_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -200,6 +210,13 @@ class TestArgumentValidation:
         assert exc.value.code == 2
         assert f"argument {flag}: must be <= 10000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["table", "figure"])
+    def test_qmax_above_enumeration_cap_exits_2_naming_the_flag(self, capsys, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--qmax", "20000"])
+        assert exc.value.code == 2
+        assert "argument --qmax: must be <= 10000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
     def test_non_finite_or_negative_tolerance_exits_2(self, capsys, tol):
         with pytest.raises(SystemExit) as exc:
@@ -214,6 +231,14 @@ class TestArgumentValidation:
         assert out == ""
         assert repr(spec) in err
         assert "invalid literal" not in err
+
+
+    @pytest.mark.parametrize("spec", ["random:-1", "flipped:1/3:-2"])
+    def test_negative_seed_or_start_names_the_spec(self, run_cli, spec):
+        code, out, err = run_cli("weyl", "--stream", spec, "--samples", "8")
+        assert code == 2
+        assert out == ""
+        assert f"invalid stream spec {spec!r}" in err
 
 
 class TestIdentitiesCommand:
@@ -241,3 +266,37 @@ class TestDeterminism:
         first = run("1")
         assert first == run("1")
         assert first == run("4")
+
+
+class TestInvocationHeader:
+    """Each output's header reruns to the same bytes, for every verb and format."""
+
+    # every option of each verb set to a non-default value
+    CASES = [
+        ("exponent", "--k", "5/48", "--r", "2", "--digits", "9"),
+        ("exponent", "--k=-1/3", "--digits", "4"),
+        ("gfun", "--q", "15", "--digits", "4"),
+        ("table", "--qmax", "60", "--digits", "4"),
+        ("figure", "--qmax", "30", "--digits", "5"),
+        ("riesz-trace", "--k", "random:5", "--nmax", "40", "--every", "3",
+         "--digits", "4"),
+        ("weyl", "--stream", "flipped:1/3:2", "--samples", "300", "--harmonics", "2",
+         "--digits", "8"),
+        ("perturb", "--k", "1/5", "--nmax", "90", "--flip-start", "2", "--digits", "5"),
+        ("mix", "--a", "rational:1/3", "--b", "random:4", "--nmax", "200",
+         "--growth", "3", "--digits", "5"),
+        ("identities", "--qsum-max", "30", "--qmax", "25", "--tol", "1e-6"),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
+    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv))
+    def test_header_reruns_to_identical_output(self, run_cli, argv, fmt):
+        code, out, err = run_cli(*argv, "--format", fmt)
+        assert code == 0, err
+        if fmt == "json":
+            header = json.loads(out)["invocation"]
+        else:
+            header = next(ln for ln in out.splitlines() if ln.startswith("# "))[2:]
+        words = shlex.split(header)
+        assert words[:2] == ["tmscaling", argv[0]]
+        assert run_cli(*words[1:]) == (code, out, err)

@@ -56,6 +56,13 @@ def test_random_bits_match_getrandbits_one_at_a_time(seed, reads):
     check_reads(random_bits(seed), reference_random(seed, 1700), reads)
 
 
+@pytest.mark.parametrize("seed", [-1, -(2 ** 64)])
+def test_negative_seeds_are_rejected(seed):
+    # random.Random seeds with abs(seed), so -N would repeat the digits of N
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        random_bits(seed)
+
+
 @SETTINGS
 @given(num=st.integers(-10 ** 6, 10 ** 6), den=st.integers(1, 2 ** 70), reads=READS)
 def test_rational_digits_are_floor_2_j_k_mod_2(num, den, reads):
