@@ -23,6 +23,9 @@ from .streams import DigitStream, PowersOfTwo
 from .wavenumber import WaveNumber
 
 PROG = "tmscaling"
+#: residues joined per slice of the printed orbit line, so the whole orbit
+#: never exists as str objects at once
+_ORBIT_SLICE = 65536
 
 
 def _invocation(args: argparse.Namespace) -> str:
@@ -103,7 +106,10 @@ def _cmd_exponent(args, inv: str) -> int:
     wn = WaveNumber.parse(args.k)
     if args.r:
         wn = wn.with_extra_dyadic_power(args.r)
-    result = exponents.beta_rational(wn)
+    try:
+        result = exponents.beta_rational(wn)
+    except ValueError as exc:   # the orbit is longer than the budget
+        raise ValueError(f"--k {args.k}: {exc}") from None
     canonical = f"{wn} = {wn.m}/(2^{wn.r} * {wn.q})"
     if args.format == "json":
         payload = {"invocation": inv, "k": str(wn), "m": wn.m, "r": wn.r, "q": wn.q}
@@ -131,7 +137,10 @@ def _cmd_exponent(args, inv: str) -> int:
         lines.append(f"method = {result.method}")
         lines.append(f"orbit_size = {d['orbit_size']}")
         lines.append(f"representative = {d['representative']}")
-        lines.append("orbit = " + " ".join(str(x) for x in d["orbit"]))
+        orbit = d["orbit"]
+        lines.append("orbit = " + " ".join(
+            " ".join(map(str, orbit[i:i + _ORBIT_SLICE]))
+            for i in range(0, len(orbit), _ORBIT_SLICE)))
         if wn.r:
             lines.append(f"note = dyadic prefactor 2^{wn.r} ignored in the limit")
     _print_lines(lines)
@@ -183,6 +192,9 @@ def _cmd_figure(args, inv: str) -> int:
 
 
 def _cmd_riesz_trace(args, inv: str) -> int:
+    if args.every > args.nmax:
+        raise ValueError(f"--every {args.every} is larger than --nmax {args.nmax}, "
+                         f"so no level would be recorded")
     target = _parse_trace_target(args.k)
     levels = range(args.every, args.nmax + 1, args.every)
     tr = riesz.trace(target, args.nmax, sample_levels=levels)
@@ -340,6 +352,14 @@ def _bounded_int(low: int | None = None, high: int | None = None):
     return parse
 
 
+def _odd_modulus(text: str) -> int:
+    """argparse type: an odd integer >= 3."""
+    value = _bounded_int()(text)
+    if value < 3 or value % 2 == 0:
+        raise argparse.ArgumentTypeError(f"must be >= 3 and odd, got {value}")
+    return value
+
+
 _NON_NEGATIVE = _bounded_int(0)
 _POSITIVE = _bounded_int(1)
 #: table, figure and the identity checks run over every q up to the bound,
@@ -381,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exponent)
 
     p = subs.add_parser("gfun", help="closed-form exponent g(q)")
-    p.add_argument("--q", type=int, required=True, help="odd integer >= 3")
+    p.add_argument("--q", type=_odd_modulus, required=True, help="odd integer >= 3")
     _add_output_options(p)
     p.set_defaults(func=_cmd_gfun)
 

@@ -19,8 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numtheory import coset_decomposition, divisors, doubling_orbit, moebius
-from .riesz import log_factor_from_half_dist
+import numpy as np
+
+from .numtheory import (
+    OrbitDecomposition,
+    coset_decomposition,
+    divisors,
+    doubling_orbit,
+    moebius,
+)
 from .serialize import format_float, json_number
 from .wavenumber import RationalLike, as_wave_number
 
@@ -56,12 +63,33 @@ class ExponentResult:
         return out
 
 
+def _log_terms(residues, q: int) -> np.ndarray:
+    """log2(2 sin(pi n/q)**2) for every residue n, in the shape of ``residues``.
+
+    Each term is bit-equal to ``log_factor_from_half_dist(min(n, q - n) / q)``
+    of ``riesz``.  numpy does only exactly rounded IEEE steps (minimum,
+    subtraction, division, products, 1 + 2x); sin and log2 are mapped as
+    ``math.sin`` and ``math.log2`` (libm), because numpy's own sin and log2
+    may differ from libm in the last bit, depending on the numpy build and
+    the CPU.  Residues are int64 below 2**53, where their float64 values are
+    exact and numpy's division rounds like Python's int / int; larger moduli
+    keep Python ints in an object array.
+    """
+    n = np.array(residues, dtype=np.int64 if q < 2**53 else object)
+    angle = np.pi * (np.minimum(n, q - n) / q)
+    logs = map(math.log2, map(math.sin, angle.ravel().tolist()))
+    return 1.0 + 2.0 * np.fromiter(logs, float, angle.size).reshape(angle.shape)
+
+
 def _orbit_mean(orbit: list[int], q: int) -> float:
     """Average of log2(1 - cos(2 pi n/q)) over the residues n of an orbit."""
-    total = math.fsum(
-        log_factor_from_half_dist(min(n, q - n) / q) for n in orbit
-    )
-    return total / len(orbit)
+    return math.fsum(_log_terms(orbit, q).tolist()) / len(orbit)
+
+
+def _coset_means(dec: OrbitDecomposition) -> list[float]:
+    """``_orbit_mean`` of every unit orbit of ``dec``, from one (cosets x order) array."""
+    terms = _log_terms(dec.unit_orbits, dec.q)
+    return [math.fsum(row) / dec.order_of_two for row in terms.tolist()]
 
 
 def orbit_log_mean(p: int, q: int) -> float:
@@ -90,7 +118,9 @@ def beta_rational(k: RationalLike) -> ExponentResult:
         )
     orbit = doubling_orbit(wn.m % wn.q, wn.q)
     value = _orbit_mean(orbit, wn.q)
-    min_half = min(min(n, wn.q - n) for n in orbit) / wn.q
+    representative = min(orbit)
+    # min(n, q - n) is smallest at the smallest or at the largest residue
+    min_half = min(representative, wn.q - max(orbit)) / wn.q
     return ExponentResult(
         kind=ExponentResult.VALUE,
         value=value,
@@ -98,7 +128,7 @@ def beta_rational(k: RationalLike) -> ExponentResult:
         diagnostics={
             "q": wn.q,
             "orbit_size": len(orbit),
-            "representative": min(orbit),
+            "representative": representative,
             "orbit": orbit,
             "dyadic_power_ignored": wn.r,
             "min_half_dist": min_half,
@@ -132,8 +162,7 @@ def check_coset_sum_identity(q: int) -> tuple[float, float]:
         if d == 1:
             continue
         dec = coset_decomposition(d)
-        coset_sum = math.fsum(_orbit_mean(orbit, d) for orbit in dec.unit_orbits)
-        parts.append(dec.order_of_two * coset_sum)
+        parts.append(dec.order_of_two * math.fsum(_coset_means(dec)))
     lhs = math.fsum(parts) / (q - 1)
     return lhs, g_closed_form(q)
 
@@ -147,7 +176,7 @@ def moebius_inverted_coset_sum(q: int) -> tuple[float, float]:
     if q < 3 or q % 2 == 0:
         raise ValueError(f"q must be odd and >= 3, got {q}")
     dec = coset_decomposition(q)
-    lhs = math.fsum(_orbit_mean(orbit, q) for orbit in dec.unit_orbits)
+    lhs = math.fsum(_coset_means(dec))
     rhs = math.fsum(
         moebius(q // d) * (d - 1) * g_closed_form(d)
         for d in divisors(q)
@@ -157,12 +186,10 @@ def moebius_inverted_coset_sum(q: int) -> tuple[float, float]:
 
 
 def _positive_rows(q: int) -> list[tuple[int, int, float]]:
-    rows = []
-    for orbit in coset_decomposition(q).unit_orbits:
-        value = _orbit_mean(orbit, q)
-        if value > 0.0:
-            rows.append((q, orbit[0], value))
-    return rows
+    dec = coset_decomposition(q)
+    return [(q, p, value)
+            for p, value in zip(dec.unit_representatives, _coset_means(dec))
+            if value > 0.0]
 
 
 def enumerate_positive_exponents(q_max: int) -> list[tuple[int, int, float]]:

@@ -3,15 +3,22 @@
 The multiplicative structure behind rational wave numbers: the unit group
 U_q of residues coprime to q, the cyclic subgroup S_q generated by 2, and
 the partition of {1, ..., q-1} into orbits of n -> 2n (mod q).  Everything
-here is exact integer work; trial division is plenty at the scales this
-package targets (q below 10**6), and residues are always reduced before
-doubling so native integers never come close to overflow.
+here is exact integer work, and residues are always reduced before
+doubling.  A single orbit may have up to MAX_ORBIT_LENGTH residues (the
+modulus itself may be any size); a longer one raises ValueError rather
+than growing without limit.  Enumerations walk every q up to 10**4, where
+trial division is plenty.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+#: longest doubling orbit that ``doubling_orbit`` walks; as a list of
+#: Python ints an orbit this long takes about 150 MB
+MAX_ORBIT_LENGTH = 2**22
 
 
 def _require_odd_modulus(q: int) -> None:
@@ -67,7 +74,8 @@ def doubling_orbit(p: int, q: int) -> list[int]:
 
     Doubling is a bijection on Z/qZ for odd q, so every residue lies on a
     pure cycle.  The orbit of a unit p is the coset p*S_q; for
-    gcd(p, q) = d > 1 it is d times the orbit of p/d modulo q/d.
+    gcd(p, q) = d > 1 it is d times the orbit of p/d modulo q/d.  Raises
+    ValueError once the orbit passes MAX_ORBIT_LENGTH residues.
     """
     _require_odd_modulus(q)
     start = p % q
@@ -75,10 +83,13 @@ def doubling_orbit(p: int, q: int) -> list[int]:
         raise ValueError(f"p must not be divisible by q (p={p}, q={q})")
     orbit = [start]
     x = (2 * start) % q
-    while x != start:
+    for _ in itertools.repeat(None, MAX_ORBIT_LENGTH):
+        if x == start:
+            return orbit
         orbit.append(x)
         x = (2 * x) % q
-    return orbit
+    raise ValueError(f"the doubling orbit of {start} mod {q} is longer than "
+                     f"the budget of MAX_ORBIT_LENGTH = {MAX_ORBIT_LENGTH} residues")
 
 
 @dataclass(frozen=True)

@@ -80,12 +80,12 @@ def _direct_fracs(m: int, den: int, count: int) -> np.ndarray:
     if den * count < (1 << 62):
         ell = np.arange(count, dtype=np.int64)
         return ((ell * step) % den) / float(den)
-    # large denominators (float inputs, stream truncations): plain integer walk
+    # large denominators (float inputs, stream truncations): plain integer
+    # walk; int / int rounds once, even where den is beyond the float range
     xs = np.empty(count)
     num = 0
-    fden = float(den)
     for i in range(count):
-        xs[i] = num / fden
+        xs[i] = num / den
         num += step
         if num >= den:
             num -= den

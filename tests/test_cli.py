@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from tmscaling import numtheory
 from tmscaling.cli import main
+from tmscaling.numtheory import doubling_orbit
 
 
 @pytest.fixture
@@ -63,6 +65,21 @@ class TestExponentCommand:
         code, _, err = run_cli("exponent", "--k", "3/0")
         assert code == 2
         assert "error" in err
+
+    def test_orbit_line_spans_several_slices(self, run_cli):
+        # the orbit of 1 mod 65539 has 65538 residues, one more than a slice
+        code, out, _ = run_cli("exponent", "--k", "1/65539")
+        assert code == 0
+        assert out.splitlines()[6] == "orbit = " + " ".join(
+            map(str, doubling_orbit(1, 65539)))
+
+    def test_orbit_longer_than_the_budget_exits_2(self, run_cli, monkeypatch):
+        monkeypatch.setattr(numtheory, "MAX_ORBIT_LENGTH", 100)
+        code, out, err = run_cli("exponent", "--k", "1/1000003")
+        assert code == 2
+        assert out == ""
+        assert "--k 1/1000003" in err
+        assert "MAX_ORBIT_LENGTH = 100" in err
 
 
 class TestGfunCommand:
@@ -137,6 +154,12 @@ class TestTraceCommand:
         assert "# extinct_at = 2" in stream
         assert data(stream) == data(exact)
 
+    def test_every_above_nmax_exits_2_naming_the_flag(self, run_cli):
+        code, out, err = run_cli("riesz-trace", "--k", "1/3", "--nmax", "5", "--every", "10")
+        assert code == 2
+        assert out == ""
+        assert "--every 10 is larger than --nmax 5" in err
+
     def test_stream_target(self, run_cli):
         code, out, _ = run_cli("riesz-trace", "--k", "random:3", "--nmax", "8",
                                "--format", "json")
@@ -195,6 +218,9 @@ class TestArgumentValidation:
         (("exponent", "--k", "1/3", "--r", "-1"), "--r"),
         (("perturb", "--k", "1/3", "--flip-start", "-1"), "--flip-start"),
         (("mix", "--a", "rational:1/3", "--b", "random:1", "--growth", "1"), "--growth"),
+        (("gfun", "--q", "4"), "--q"),
+        (("gfun", "--q", "1"), "--q"),
+        (("gfun", "--q", "-3"), "--q"),
     ])
     def test_out_of_range_value_exits_2_naming_the_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:

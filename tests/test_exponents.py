@@ -19,8 +19,8 @@ from tmscaling.exponents import (
     table_csv_lines,
 )
 from tmscaling import exponents, numtheory
-from tmscaling.numtheory import doubling_orbit, mult_order_of_two
-from tmscaling.riesz import running_exponent
+from tmscaling.numtheory import coset_decomposition, doubling_orbit, mult_order_of_two
+from tmscaling.riesz import log_factor_from_half_dist, running_exponent
 from tmscaling.wavenumber import WaveNumber
 
 from conftest import brute_divisors, euler_phi, is_prime
@@ -304,6 +304,42 @@ class TestOrbitWalks:
         walks.clear()
         moebius_inverted_coset_sum(q)
         assert len(walks) == orbit_count(q)
+
+
+def scalar_orbit_mean(p: int, q: int) -> float:
+    """The orbit average one residue at a time: the reference for the array kernel."""
+    orbit = doubling_orbit(p, q)
+    return math.fsum(
+        log_factor_from_half_dist(min(n, q - n) / q) for n in orbit
+    ) / len(orbit)
+
+
+class TestArrayKernel:
+    """The array pass is bit-equal to the scalar formula (compared with ==)."""
+
+    @given(q=st.integers(1, 2499).map(lambda i: 2 * i + 1), p=st.integers(1, 10 ** 6))
+    def test_orbit_mean_is_bit_equal_to_scalar_formula(self, q, p):
+        assume(p % q)
+        assert orbit_log_mean(p, q) == scalar_orbit_mean(p, q)
+
+    # short orbits: 2**n -/+ 1 has the orbit of 1 of length n or 2n.  Moduli
+    # from 2**53 take the object-array path; as int64 (converted to float64
+    # by the division) the orbit of 7 mod 2**53 + 1 would change bits
+    @pytest.mark.parametrize("q", [2**53 - 1, 2**53 + 1, 2**61 - 1, 2**64 + 1, 2**89 - 1])
+    @pytest.mark.parametrize("p", [1, 3, 7, 2**40 + 5])
+    def test_large_moduli_are_bit_equal_to_scalar_formula(self, q, p):
+        expected = scalar_orbit_mean(p, q)
+        assert orbit_log_mean(p, q) == expected
+        result = beta_rational(Fraction(p, q))
+        assert result.value == expected
+        orbit = doubling_orbit(p, q)
+        assert result.diagnostics["min_half_dist"] == min(min(n, q - n) for n in orbit) / q
+
+    @pytest.mark.parametrize("q", [3, 7, 9, 15, 17, 45, 63, 105, 127, 341, 1023, 3003])
+    def test_coset_means_equal_per_orbit_means(self, q):
+        dec = coset_decomposition(q)
+        assert exponents._coset_means(dec) == [
+            scalar_orbit_mean(orbit[0], q) for orbit in dec.unit_orbits]
 
 
 class TestFigureData:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tmscaling import numtheory
 from tmscaling.numtheory import (
     coset_decomposition,
     divisors,
@@ -152,3 +153,13 @@ def test_totient_sum_up_to_2000():
     for q in range(3, 2001, 2):
         dec = coset_decomposition(q)
         assert sum(len(o) for o in dec.unit_orbits) == euler_phi(q)
+
+
+def test_orbit_longer_than_the_budget_raises(monkeypatch):
+    # the orbit of 1 mod 2**7 - 1 has 7 residues, that of 1 mod 2**8 + 1 has 16
+    monkeypatch.setattr(numtheory, "MAX_ORBIT_LENGTH", 7)
+    assert doubling_orbit(1, 127) == [1, 2, 4, 8, 16, 32, 64]
+    with pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 7"):
+        doubling_orbit(1, 257)
+    with pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 7"):
+        coset_decomposition(257)

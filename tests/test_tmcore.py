@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tmscaling.tmcore import exp_sum_direct, exp_sum_recursive, tm_word
 
@@ -85,6 +86,15 @@ def test_direct_vs_recursive_random_floats(n):
         d = exp_sum_direct(n, k).value
         r = exp_sum_recursive(n, k).value
         assert abs(d - r) <= 1e-8 * 2 ** n
+
+
+@given(n=st.integers(0, 12),
+       k=st.one_of(st.fractions(0, 1, max_denominator=10 ** 6),
+                   st.floats(0.0, 1.0, exclude_max=True)))
+def test_recursive_agrees_with_direct(n, k):
+    d = exp_sum_direct(n, k).value
+    r = exp_sum_recursive(n, k).value
+    assert abs(d - r) <= 1e-9 * max(1.0, abs(d))
 
 
 def test_squared_recursion_identity():
