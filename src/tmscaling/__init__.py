@@ -20,13 +20,9 @@ from .exponents import (
 )
 from .expansions import (
     WeylReport,
-    block_mixed,
-    flipped,
     frac_pow2,
     mixed_exponent_trace,
     perturbed_exponent_trace,
-    random_bits,
-    rational_periodic,
     rational_stream,
     weyl_diagnostics,
 )
@@ -48,7 +44,14 @@ from .riesz import (
     running_exponent,
     trace,
 )
-from .streams import DigitStream, PowersOfTwo
+from .streams import (
+    DigitStream,
+    PowersOfTwo,
+    block_mixed,
+    flipped,
+    random_bits,
+    rational_periodic,
+)
 from .tmcore import ExponentialSum, TmWord, exp_sum_direct, exp_sum_recursive, tm_word
 from .wavenumber import WaveNumber, as_wave_number, frac_levels
 

@@ -19,7 +19,7 @@ import sys
 
 from . import exponents, expansions, riesz
 from .serialize import format_float, json_number
-from .streams import DigitStream, PowersOfTwo
+from .streams import DigitStream, PowersOfTwo, flipped, random_bits, rational_periodic
 from .wavenumber import WaveNumber
 
 PROG = "tmscaling"
@@ -70,17 +70,16 @@ def parse_stream_spec(spec: str) -> DigitStream:
     if kind == "random":
         if not rest:
             raise ValueError("random stream needs a seed: random:SEED")
-        return expansions.random_bits(_spec_int(spec, rest, "random:SEED"))
+        return random_bits(_spec_int(spec, rest, "random:SEED"))
     if kind == "rational":
         wn = WaveNumber.parse(rest)
-        return expansions.rational_periodic(wn.m, wn.denominator)
+        return rational_periodic(wn.m, wn.denominator)
     if kind == "flipped":
         frac, _, start = rest.partition(":")
         wn = WaveNumber.parse(frac)
         positions = PowersOfTwo(
             _spec_int(spec, start, "flipped:M/Q[:START]") if start else 1)
-        return expansions.flipped(
-            expansions.rational_periodic(wn.m, wn.denominator), positions)
+        return flipped(rational_periodic(wn.m, wn.denominator), positions)
     raise ValueError(
         f"unknown stream spec {spec!r}; use random:SEED, rational:M/Q "
         f"or flipped:M/Q[:START]")

@@ -24,27 +24,14 @@ import numpy as np
 from . import riesz
 from .riesz import RieszTrace, log_factors
 from .serialize import json_number
-from .streams import (
-    DigitStream,
-    PowersOfTwo,
-    block_mixed,
-    flipped,
-    random_bits,
-    rational_periodic,
-)
+from .streams import DigitStream, PowersOfTwo, block_mixed, flipped, rational_periodic
 from .wavenumber import WINDOW, RationalLike, as_wave_number, frac_levels
 
 __all__ = [
-    "DigitStream",
-    "PowersOfTwo",
     "WeylReport",
-    "block_mixed",
-    "flipped",
     "frac_pow2",
     "mixed_exponent_trace",
     "perturbed_exponent_trace",
-    "random_bits",
-    "rational_periodic",
     "rational_stream",
     "weyl_diagnostics",
 ]
@@ -157,5 +144,5 @@ def mixed_exponent_trace(stream_a: DigitStream, stream_b: DigitStream,
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     mixed = block_mixed(stream_a, stream_b, growth=growth)
     tr = riesz.trace(mixed, n_max, sample_levels={*mixed.block_boundaries(n_max), n_max})
-    running = tr.running_exponents()
-    return tr, min(running), max(running)
+    running = tr.samples.running_exponent
+    return tr, float(running.min()), float(running.max())

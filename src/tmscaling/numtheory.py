@@ -16,8 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-#: longest doubling orbit that ``doubling_orbit`` walks; as a list of
-#: Python ints an orbit this long takes about 150 MB
+#: longest doubling orbit that ``doubling_orbit`` and ``mult_order_of_two``
+#: walk; as a list of Python ints an orbit this long takes about 150 MB
 MAX_ORBIT_LENGTH = 2**22
 
 
@@ -59,14 +59,24 @@ def moebius(n: int) -> int:
     return sign
 
 
+def _over_budget(start: int, q: int) -> ValueError:
+    return ValueError(f"the doubling orbit of {start} mod {q} is longer than "
+                      f"the budget of MAX_ORBIT_LENGTH = {MAX_ORBIT_LENGTH} residues")
+
+
 def mult_order_of_two(q: int) -> int:
-    """Multiplicative order of 2 mod q: smallest n >= 1 with 2**n = 1 (mod q)."""
+    """Multiplicative order of 2 mod q: smallest n >= 1 with 2**n = 1 (mod q).
+
+    This is the length of the doubling orbit of 1; raises ValueError once
+    it passes MAX_ORBIT_LENGTH residues.
+    """
     _require_odd_modulus(q)
-    order, x = 1, 2 % q
-    while x != 1:
+    x = 2
+    for order in range(1, MAX_ORBIT_LENGTH + 1):
+        if x == 1:
+            return order
         x = (2 * x) % q
-        order += 1
-    return order
+    raise _over_budget(1, q)
 
 
 def doubling_orbit(p: int, q: int) -> list[int]:
@@ -88,8 +98,7 @@ def doubling_orbit(p: int, q: int) -> list[int]:
             return orbit
         orbit.append(x)
         x = (2 * x) % q
-    raise ValueError(f"the doubling orbit of {start} mod {q} is longer than "
-                     f"the budget of MAX_ORBIT_LENGTH = {MAX_ORBIT_LENGTH} residues")
+    raise _over_budget(start, q)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ x_l is exactly 0 — never by floating-point comparison.
 
 The sums run over the array blocks of ``frac_levels``: a whole-product
 log is a sum per block, and a trace is a running sum (``np.cumsum``, in
-level order) from which only the recorded levels become ``TraceSample``s.
+level order, carried from block to block) from which only the recorded
+levels are copied out.  A trace is stored as columns: one record array
+with the fields ``level``, ``log2_f`` and ``running_exponent``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialize import format_float, json_number
+from .serialize import json_number
 from .streams import DigitStream
 from .wavenumber import WINDOW, WaveNumberLike, as_wave_number, frac_levels
 
@@ -79,43 +81,37 @@ def running_exponent(k: WaveNumberLike, n: int) -> float:
     return partial_product_log(k, n) / n
 
 
-@dataclass(frozen=True, slots=True)
-class TraceSample:
-    level: int
-    log2_f: float
-    running_exponent: float
-
-
 @dataclass
 class RieszTrace:
     """Sampled history of (n, log2 f_n, log2 f_n / n) for one wave number.
 
-    ``extinct_at`` is the first level whose factor vanishes (dyadic k
-    only); beyond it both recorded quantities are -inf.  For a digit stream
-    ``quality`` records the window width (``wavenumber.WINDOW`` digits) and
-    how many levels needed the near-singular refinement (none for
-    rational-periodic streams, which take the exact path); it is empty for
-    rational wave numbers.
+    ``samples`` is a numpy record array with one record per recorded level,
+    in increasing level order, and the columns ``level`` (int64),
+    ``log2_f`` and ``running_exponent`` (float64; the latter is
+    ``log2_f / level``).  ``extinct_at`` is the first level whose factor
+    vanishes (dyadic k only); beyond it both float columns are -inf.  For
+    a digit stream ``quality`` records the window width
+    (``wavenumber.WINDOW`` digits) and how many levels needed the
+    near-singular refinement (none for rational-periodic streams, which
+    take the exact path); it is empty for rational wave numbers.
     """
 
     wave_number: str
-    samples: list[TraceSample] = field(default_factory=list)
+    samples: np.recarray
     extinct_at: int | None = None
     quality: dict = field(default_factory=dict)
 
     @property
     def final_running_exponent(self) -> float:
-        return self.samples[-1].running_exponent
+        return float(self.samples.running_exponent[-1])
 
-    def running_exponents(self) -> list[float]:
-        return [s.running_exponent for s in self.samples]
+    def _rows(self):
+        s = self.samples
+        return zip(s.level.tolist(), s.log2_f.tolist(), s.running_exponent.tolist())
 
     def to_csv_lines(self, digits: int = 6) -> list[str]:
-        lines = ["n,log2_f,running_exponent"]
-        for s in self.samples:
-            lines.append(f"{s.level},{format_float(s.log2_f, digits)},"
-                         f"{format_float(s.running_exponent, digits)}")
-        return lines
+        row = f"%d,%.{digits}g,%.{digits}g"
+        return ["n,log2_f,running_exponent", *map(row.__mod__, self._rows())]
 
     def to_json_dict(self, digits: int = 6) -> dict:
         return {
@@ -124,11 +120,11 @@ class RieszTrace:
             "quality": self.quality,
             "samples": [
                 {
-                    "n": s.level,
-                    "log2_f": json_number(s.log2_f, digits),
-                    "running_exponent": json_number(s.running_exponent, digits),
+                    "n": level,
+                    "log2_f": json_number(v, digits),
+                    "running_exponent": json_number(r, digits),
                 }
-                for s in self.samples
+                for level, v, r in self._rows()
             ],
         }
 
@@ -137,43 +133,44 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
     """Build a RieszTrace up to level ``n_max``.
 
     ``sample_levels`` restricts which levels are recorded (default: all of
-    1 .. n_max); the accumulation itself always walks every level.
+    1 .. n_max) and must name at least one; the accumulation itself always
+    walks every level, holding one block of running sums at a time.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if sample_levels is None:
-        wanted = None
+        levels = np.arange(1, n_max + 1, dtype=np.int64)
     else:
-        levels = {int(s) for s in sample_levels}
-        bad = [s for s in levels if not 1 <= s <= n_max]
+        wanted = {int(s) for s in sample_levels}
+        if not wanted:
+            raise ValueError("sample_levels is empty, so no level would be recorded")
+        bad = [s for s in wanted if not 1 <= s <= n_max]
         if bad:
             raise ValueError(f"sample levels outside 1..{n_max}: {sorted(bad)}")
-        wanted = np.array(sorted(levels), dtype=np.int64)
+        levels = np.array(sorted(wanted), dtype=np.int64)
 
     label = k.label() if isinstance(k, DigitStream) else str(as_wave_number(k))
-    out = RieszTrace(wave_number=label)
+    log2_f = np.empty(len(levels))
+    extinct_at = None
     total = 0.0
     refined = 0
     for block in frac_levels(k, n_max).blocks():
-        if out.extinct_at is None and block.is_zero.any():
-            out.extinct_at = block.start + int(np.argmax(block.is_zero))
+        if extinct_at is None and block.is_zero.any():
+            extinct_at = block.start + int(np.argmax(block.is_zero))
         refined += int(np.count_nonzero(block.refined))
         # running sums in level order; a zero factor turns them into -inf for good
         steps = log_factors(block.half_dist)
         steps[0] += total
-        log2_f = np.cumsum(steps)
-        total = float(log2_f[-1])
-        m = len(log2_f)
-        if wanted is None:
-            idx = np.arange(m)
-        else:
-            lo, hi = np.searchsorted(wanted, [block.start + 1, block.start + m + 1])
-            idx = wanted[lo:hi] - (block.start + 1)
-        for level, v in zip((idx + (block.start + 1)).tolist(), log2_f[idx].tolist()):
-            out.samples.append(TraceSample(level, v, v / level))
-    if isinstance(k, DigitStream):
-        out.quality = {"window": WINDOW, "near_singular_refined": refined}
-    return out
+        running = np.cumsum(steps)
+        total = float(running[-1])
+        first = block.start + 1
+        lo, hi = np.searchsorted(levels, [first, first + len(running)])
+        log2_f[lo:hi] = running[levels[lo:hi] - first]
+    samples = np.rec.fromarrays((levels, log2_f, log2_f / levels),
+                                names=("level", "log2_f", "running_exponent"))
+    quality = ({"window": WINDOW, "near_singular_refined": refined}
+               if isinstance(k, DigitStream) else {})
+    return RieszTrace(label, samples, extinct_at, quality)
 
 
 def _grid_density(n: int, x: np.ndarray) -> np.ndarray:

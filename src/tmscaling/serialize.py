@@ -6,9 +6,7 @@ import math
 
 
 def format_float(x: float, digits: int = 6) -> str:
-    """Fixed significant-digit rendering; infinities become 'inf'/'-inf'."""
-    if math.isinf(x):
-        return "-inf" if x < 0 else "inf"
+    """Fixed significant-digit rendering; ``%g`` spells infinities 'inf'/'-inf'."""
     return f"{x:.{digits}g}"
 
 

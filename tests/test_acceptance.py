@@ -24,15 +24,10 @@ from tmscaling.exponents import (
     g_closed_form,
     moebius_inverted_coset_sum,
 )
-from tmscaling.expansions import (
-    mixed_exponent_trace,
-    perturbed_exponent_trace,
-    random_bits,
-    rational_periodic,
-    weyl_diagnostics,
-)
+from tmscaling.expansions import mixed_exponent_trace, perturbed_exponent_trace, weyl_diagnostics
 from tmscaling.numtheory import mult_order_of_two
 from tmscaling.riesz import check_qsum, interval_mass, partial_product_log, trace
+from tmscaling.streams import random_bits, rational_periodic
 from tmscaling.tmcore import exp_sum_direct, exp_sum_recursive
 from tmscaling.wavenumber import WaveNumber
 

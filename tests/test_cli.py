@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import subprocess
@@ -202,6 +203,38 @@ class TestPerturbAndMix:
         assert code == 0
         assert "liminf = -0.979942" in out
         assert "limsup = 0.345673" in out
+
+
+class TestTraceGoldenOutput:
+    """Whole stdout of small trace commands, pinned by sha256.
+
+    The digests were taken from the per-sample formatting that preceded
+    the columnar trace (one ``format_float`` call per value), so they pin
+    every byte of the CSV and JSON renderings.
+    """
+
+    @pytest.mark.parametrize("argv,digest", [
+        ("riesz-trace --k 1/9 --nmax 4096",
+         "2387cc74b06e9aa7a469020f7b3dea9849b9fc7ca5ec149edb99c34b31b052fb"),
+        ("riesz-trace --k 1/8 --nmax 20 --format json",
+         "a5793fc6e6070ac9a210c77df0ee5eaad727e0814deb770ff7bf4ca4b6e97293"),
+        ("riesz-trace --k random:5 --nmax 3000 --every 7 --format json",
+         "66eb55ac1aa80d92dbd4bd5e829ded66d80a1d89e4db0a1aabd199609c174fe0"),
+        ("riesz-trace --k 0.1371 --nmax 200 --digits 12",
+         "55500a48cec32cca403ee1335a9064a70f766cdb3c4dae38fafb1596500743fe"),
+        ("perturb --k 1/5 --nmax 4097 --format json",
+         "bafa3b5ae163700189bba2d042aad91546bb52808c10aef0da42d75199bd5037"),
+        ("perturb --k 1/3 --nmax 5000",
+         "38b57aa5b0b9812ea9fc13c5a146f6c3d92d34d181deb315367c9f030a9c2907"),
+        ("mix --a random:3 --b rational:1/7 --growth 3 --nmax 5000 --format json",
+         "dc28297b34e4da9165a45744d4d4b50eaf628afb6e0ecd9e1a16169ce3172855"),
+        ("mix --a rational:1/3 --b random:7 --nmax 20000",
+         "26cbf88c650799e999eee018961a933badec611f35485feaadc13e23bbabdabd"),
+    ])
+    def test_stdout_digest(self, run_cli, argv, digest):
+        code, out, err = run_cli(*shlex.split(argv))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestArgumentValidation:

@@ -4,18 +4,14 @@ from fractions import Fraction
 import pytest
 
 from tmscaling.expansions import (
-    PowersOfTwo,
-    block_mixed,
-    flipped,
     frac_pow2,
     mixed_exponent_trace,
     perturbed_exponent_trace,
-    random_bits,
-    rational_periodic,
     rational_stream,
     weyl_diagnostics,
 )
 from tmscaling.riesz import partial_product_log, running_exponent, trace
+from tmscaling.streams import PowersOfTwo, block_mixed, flipped, random_bits, rational_periodic
 
 LOG2_3_HALVES = math.log2(1.5)
 

@@ -163,3 +163,6 @@ def test_orbit_longer_than_the_budget_raises(monkeypatch):
         doubling_orbit(1, 257)
     with pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 7"):
         coset_decomposition(257)
+    assert mult_order_of_two(127) == 7
+    with pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 7"):
+        mult_order_of_two(257)

@@ -3,9 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tmscaling.riesz import (
+    RieszTrace,
     check_log_integral,
     check_qsum,
     interval_mass,
@@ -14,6 +17,7 @@ from tmscaling.riesz import (
     running_exponent,
     trace,
 )
+from tmscaling.serialize import format_float
 from tmscaling.tmcore import exp_sum_recursive
 
 from conftest import log2_factor_oracle
@@ -166,6 +170,51 @@ class TestTrace:
         assert [s.level for s in tr.samples] == [10, 50, 100]
         with pytest.raises(ValueError):
             trace(Fraction(1, 3), 10, sample_levels=[11])
+
+    def test_empty_sample_levels_raises(self):
+        with pytest.raises(ValueError, match="sample_levels"):
+            trace(Fraction(1, 3), 10, sample_levels=[])
+
+    def test_samples_are_columns(self):
+        tr = trace(Fraction(1, 9), 12, sample_levels=[3, 6, 12])
+        assert tr.samples.level.tolist() == [3, 6, 12]
+        assert tr.samples.log2_f.tolist() == pytest.approx(
+            [partial_product_log(Fraction(1, 9), n) for n in (3, 6, 12)], abs=1e-12)
+        assert tr.samples.running_exponent.tolist() == [
+            v / n for n, v in zip((3, 6, 12), tr.samples.log2_f.tolist())]
+        assert tr.final_running_exponent == tr.samples[-1].running_exponent
+
+
+def per_value_format(x: float, digits: int) -> str:
+    """The rendering trace rows used to get, one value at a time."""
+    if math.isinf(x):
+        return "-inf" if x < 0 else "inf"
+    return f"{x:.{digits}g}"
+
+
+EDGE_FLOATS = st.sampled_from([
+    math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e-310, 1e300, -1e300, 1.7976931348623157e308])
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+class TestRowTemplate:
+    @given(rows=st.lists(st.tuples(st.integers(1, 2**62), ANY_FLOAT | EDGE_FLOATS,
+                                   ANY_FLOAT | EDGE_FLOATS), min_size=1, max_size=5),
+           digits=st.integers(1, 17))
+    def test_csv_rows_match_per_value_rendering(self, rows, digits):
+        levels, log2_f, running = zip(*rows)
+        samples = np.rec.fromarrays(
+            (np.array(levels, dtype=np.int64), np.array(log2_f), np.array(running)),
+            names=("level", "log2_f", "running_exponent"))
+        lines = RieszTrace("k", samples).to_csv_lines(digits)
+        assert lines[1:] == [
+            f"{n},{per_value_format(v, digits)},{per_value_format(r, digits)}"
+            for n, v, r in rows]
+
+    @given(x=ANY_FLOAT | EDGE_FLOATS, digits=st.integers(1, 17))
+    def test_format_float_matches_per_value_rendering(self, x, digits):
+        assert format_float(x, digits) == per_value_format(x, digits)
 
 
 class TestIntervalMass:
