@@ -12,6 +12,7 @@ output is deterministic: the same arguments always print the same bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import shlex
@@ -23,8 +24,8 @@ from .streams import DigitStream, PowersOfTwo, flipped, random_bits, rational_pe
 from .wavenumber import WaveNumber
 
 PROG = "tmscaling"
-#: residues joined per slice of the printed orbit line, so the whole orbit
-#: never exists as str objects at once
+#: residues joined per slice of the printed orbit line (and JSON chunks per
+#: write), so the whole orbit never exists as str objects at once
 _ORBIT_SLICE = 65536
 
 
@@ -49,7 +50,11 @@ def _print_lines(lines):
 
 
 def _print_json(obj):
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    """``json.dumps(obj, indent=2)`` and a newline, written a batch of chunks at a time."""
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := "".join(itertools.islice(chunks, _ORBIT_SLICE)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _spec_int(spec: str, text: str, form: str) -> int:
@@ -196,7 +201,10 @@ def _cmd_riesz_trace(args, inv: str) -> int:
                          f"so no level would be recorded")
     target = _parse_trace_target(args.k)
     levels = range(args.every, args.nmax + 1, args.every)
-    tr = riesz.trace(target, args.nmax, sample_levels=levels)
+    try:
+        tr = riesz.trace(target, args.nmax, sample_levels=levels)
+    except ValueError as exc:   # a rational's levels need more than the orbit budget
+        raise ValueError(f"--k {args.k} --nmax {args.nmax}: {exc}") from None
     if args.format == "json":
         payload = {"invocation": inv}
         payload.update(tr.to_json_dict(args.digits))

@@ -2,23 +2,26 @@
 
 The multiplicative structure behind rational wave numbers: the unit group
 U_q of residues coprime to q, the cyclic subgroup S_q generated by 2, and
-the partition of {1, ..., q-1} into orbits of n -> 2n (mod q).  Everything
-here is exact integer work, and residues are always reduced before
-doubling.  A single orbit may have up to MAX_ORBIT_LENGTH residues (the
-modulus itself may be any size); a longer one raises ValueError rather
-than growing without limit.  Enumerations walk every q up to 10**4, where
-trial division is plenty.
+its cosets u*S_q, which are the orbits of n -> 2n (mod q) on U_q.  One
+kernel, ``_doubling_cycle``, walks that map for every caller here and for
+the exact level ladder in ``wavenumber``: numpy block doubling in exact
+integer arithmetic (int64 below 2**31, Python ints above).  A single orbit
+may have up to MAX_ORBIT_LENGTH residues (the modulus itself may be any
+size); a longer one raises ValueError rather than growing without limit.
+Enumerations walk every q up to 10**4, where trial division is plenty.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
-#: longest doubling orbit that ``doubling_orbit`` and ``mult_order_of_two``
-#: walk; as a list of Python ints an orbit this long takes about 150 MB
+import numpy as np
+
+#: longest doubling orbit that ``doubling_orbit``, ``mult_order_of_two`` and the
+#: exact level ladder walk; as a list of Python ints an orbit this long takes about 150 MB
 MAX_ORBIT_LENGTH = 2**22
+#: residues per slice of a block-doubling step, which bounds object-array temporaries
+_STEP = 1 << 16
 
 
 def _require_odd_modulus(q: int) -> None:
@@ -59,9 +62,34 @@ def moebius(n: int) -> int:
     return sign
 
 
-def _over_budget(start: int, q: int) -> ValueError:
-    return ValueError(f"the doubling orbit of {start} mod {q} is longer than "
-                      f"the budget of MAX_ORBIT_LENGTH = {MAX_ORBIT_LENGTH} residues")
+def _doubling_cycle(p: int, q: int, limit: int) -> np.ndarray:
+    """p, 2p, 4p, ... (mod q) until the cycle closes, at most ``limit`` residues.
+
+    Block doubling: the next block is the cycle so far times 2**len (mod q),
+    taken in slices of at most _STEP residues.  Residues are int64 below
+    2**31, where products stay below 2**62, and Python ints in an object
+    array above.  Rather than hold more than MAX_ORBIT_LENGTH residues of a
+    cycle that has not closed, raises ValueError.
+    """
+    start = int(p % q)
+    limit = min(limit, MAX_ORBIT_LENGTH + 1)
+    cycle = np.array([start], dtype=np.int64 if q < 2**31 else object)
+    while len(cycle) < limit:
+        n = len(cycle)
+        factor = pow(2, n, q)
+        grown = np.empty(min(2 * n, limit), cycle.dtype)
+        grown[:n] = cycle
+        for i in range(n, len(grown), _STEP):
+            block = cycle[i - n:min(i + _STEP, len(grown)) - n] * factor % q
+            grown[i:i + len(block)] = block
+            closed = np.flatnonzero(block == start)
+            if closed.size:
+                return grown[:i + closed[0]]
+        if len(grown) > MAX_ORBIT_LENGTH:
+            raise ValueError(f"the doubling orbit of {start} mod {q} is longer than "
+                             f"the budget of MAX_ORBIT_LENGTH = {MAX_ORBIT_LENGTH} residues")
+        cycle = grown
+    return cycle
 
 
 def mult_order_of_two(q: int) -> int:
@@ -71,12 +99,7 @@ def mult_order_of_two(q: int) -> int:
     it passes MAX_ORBIT_LENGTH residues.
     """
     _require_odd_modulus(q)
-    x = 2
-    for order in range(1, MAX_ORBIT_LENGTH + 1):
-        if x == 1:
-            return order
-        x = (2 * x) % q
-    raise _over_budget(1, q)
+    return len(_doubling_cycle(1, q, q))
 
 
 def doubling_orbit(p: int, q: int) -> list[int]:
@@ -88,66 +111,45 @@ def doubling_orbit(p: int, q: int) -> list[int]:
     ValueError once the orbit passes MAX_ORBIT_LENGTH residues.
     """
     _require_odd_modulus(q)
-    start = p % q
-    if start == 0:
+    if p % q == 0:
         raise ValueError(f"p must not be divisible by q (p={p}, q={q})")
-    orbit = [start]
-    x = (2 * start) % q
-    for _ in itertools.repeat(None, MAX_ORBIT_LENGTH):
-        if x == start:
-            return orbit
-        orbit.append(x)
-        x = (2 * x) % q
-    raise _over_budget(start, q)
+    return _doubling_cycle(p, q, q).tolist()
 
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    """Partition of {1, ..., q-1} into doubling orbits.
+    """The unit group U_q as the cosets of S_q, one row per coset.
 
-    Orbits are listed with ascending representatives, each orbit starting
-    at its smallest element.  ``unit_orbits`` is the sub-list of orbits
-    inside the unit group U_q; these are exactly the cosets of S_q, so
-    they all have length ``order_of_two``.
+    ``unit_orbits`` is a (cosets x order_of_two) integer array.  Row i is
+    the doubling cycle of its smallest element, the i-th representative in
+    increasing order, so row 0 is S_q itself.  The residues sharing a
+    factor d > 1 with q are d times the unit cosets of q/d.
     """
 
     q: int
-    orbits: list[list[int]]
-    unit_orbits: list[list[int]]
+    unit_orbits: np.ndarray
     order_of_two: int
 
     @property
-    def representatives(self) -> list[int]:
-        return [orbit[0] for orbit in self.orbits]
-
-    @property
     def unit_representatives(self) -> list[int]:
-        return [orbit[0] for orbit in self.unit_orbits]
+        return self.unit_orbits[:, 0].tolist()
 
 
 def coset_decomposition(q: int) -> OrbitDecomposition:
-    """Decompose {1, ..., q-1} into doubling orbits with minimal representatives.
+    """Decompose U_q into the cosets u*S_q with minimal representatives.
 
-    Residues are scanned in increasing order, so the first unseen element
-    of each orbit is its minimum and orbits come out sorted by
-    representative.
+    S_q is built once; each next representative is the smallest unit not
+    yet covered, so cosets come out sorted by representative.
     """
     _require_odd_modulus(q)
-    seen = bytearray(q)
-    orbits: list[list[int]] = []
-    unit_orbits: list[list[int]] = []
-    for p in range(1, q):
-        if seen[p]:
-            continue
-        orbit = doubling_orbit(p, q)
-        for x in orbit:
-            seen[x] = 1
-        orbits.append(orbit)
-        if math.gcd(p, q) == 1:
-            unit_orbits.append(orbit)
-    return OrbitDecomposition(
-        q=q,
-        orbits=orbits,
-        unit_orbits=unit_orbits,
-        order_of_two=len(unit_orbits[0]),
-    )
+    subgroup = _doubling_cycle(1, q, q)
+    free = np.ones(q, dtype=bool)   # the units: no divisor d > 1 of q divides them
+    for d in divisors(q)[1:]:
+        free[::d] = False
+    rows = np.empty((np.count_nonzero(free) // len(subgroup), len(subgroup)), subgroup.dtype)
+    rep = 1
+    for row in rows:
+        row[:] = rep * subgroup % q
+        free[row] = False
+        rep += int(np.argmax(free[rep:]))
+    return OrbitDecomposition(q=q, unit_orbits=rows, order_of_two=len(subgroup))

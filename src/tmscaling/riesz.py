@@ -141,13 +141,17 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
     if sample_levels is None:
         levels = np.arange(1, n_max + 1, dtype=np.int64)
     else:
-        wanted = {int(s) for s in sample_levels}
-        if not wanted:
+        try:
+            levels = np.sort(np.fromiter(sample_levels, np.int64))
+        except OverflowError:
+            raise ValueError(f"sample levels outside 1..{n_max}: one exceeds int64") from None
+        if not levels.size:
             raise ValueError("sample_levels is empty, so no level would be recorded")
-        bad = [s for s in wanted if not 1 <= s <= n_max]
-        if bad:
-            raise ValueError(f"sample levels outside 1..{n_max}: {sorted(bad)}")
-        levels = np.array(sorted(wanted), dtype=np.int64)
+        # np.unique hashes; dropping repeats from the sorted array is faster
+        levels = levels[np.concatenate(([True], np.diff(levels) > 0))]
+        bad = levels[(levels < 1) | (levels > n_max)]
+        if bad.size:
+            raise ValueError(f"sample levels outside 1..{n_max}: {bad.tolist()}")
 
     label = k.label() if isinstance(k, DigitStream) else str(as_wave_number(k))
     log2_f = np.empty(len(levels))

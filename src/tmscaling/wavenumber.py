@@ -14,11 +14,13 @@ trigonometry never suffers cancellation near 0 or 1.  Consumers read the
 levels as blocks of numpy arrays (``FracLevels.blocks``); iterating
 gives the same levels one ``FracLevel`` at a time.  Rational inputs
 (including floats, which are exact dyadic rationals, and
-``rational-periodic`` digit streams) use modular integer arithmetic,
-walking the numerators until the doubling orbit closes and tiling it
-from there; digit streams read a 64-digit window per level, all windows
-of a block at once as ``uint64`` integers, refined to 128 digits and
-flagged when the value sits within 2**-20 of an integer.
+``rational-periodic`` digit streams) use exact integer arithmetic: the r
+pre-periodic numerators, then the doubling cycle of m mod q from
+``numtheory``'s one kernel, read no further than the levels asked for
+(at most MAX_ORBIT_LENGTH residues) and tiled.  Digit streams read a
+64-digit window per level, all windows of a block at once as ``uint64``
+integers, refined to 128 digits and flagged when the value sits within
+2**-20 of an integer.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
+from .numtheory import _doubling_cycle
 from .streams import DigitStream
 
 #: digits a stream level reads (one uint64 per level)
@@ -38,8 +41,6 @@ WINDOW = 64
 _NEAR_BITS = 20
 #: levels per block of the array kernel
 BLOCK = 1 << 14
-#: longest doubling orbit recorded for tiling
-_MAX_PERIOD = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -177,9 +178,7 @@ class FracLevels:
     ``blocks()`` yields LevelBlocks of at most BLOCK levels, in order;
     iterating yields one FracLevel per level.  Each pass starts again at
     level 0 (stream digits are cached, so a second pass reads no new
-    digits).  Without a level count, blocks start at one level and double
-    up to BLOCK, so a stream is read at most twice as far ahead as the
-    levels already taken, plus one window.
+    digits).
     """
 
     def __init__(self, blocks: Callable[[], Iterator[LevelBlock]]):
@@ -195,82 +194,59 @@ class FracLevels:
                 yield FracLevel(*fields)
 
 
-def frac_levels(k: WaveNumberLike, count: int | None = None,
-                window: int = WINDOW) -> FracLevels:
-    """The levels l = 0, 1, 2, ... (``count`` of them, unbounded if None) of k.
+def frac_levels(k: WaveNumberLike, count: int, window: int = WINDOW) -> FracLevels:
+    """The levels l = 0, 1, ..., count - 1 of k.
 
     Rational inputs, and digit streams of kind ``rational-periodic`` (whose
-    ``num``/``den`` make them rationals), take the exact path: numerators
-    double modulo the denominator in integers until the orbit closes, and
-    the closed orbit is then tiled.  Other streams read ``window``-digit
-    windows (32 to 64 digits), built as ``uint64`` integers.
+    ``num``/``den`` make them rationals), take the exact path: the
+    pre-periodic levels in integers, then the doubling cycle of the odd
+    part, tiled.  Other streams read ``window``-digit windows (32 to 64
+    digits), built as ``uint64`` integers.
     """
     if isinstance(k, DigitStream):
         if not 32 <= window <= 64:
             raise ValueError(f"window must be 32 to 64 digits, got {window}")
         if k.kind != "rational-periodic":
             return FracLevels(lambda: (_stream_block(k, start, stop, window)
-                                       for start, stop in _spans(0, count)))
+                                       for start, stop in _spans(count)))
         k = Fraction(k.params["num"], k.params["den"])
     wn = as_wave_number(k)
     return FracLevels(lambda: _rational_blocks(wn, count))
 
 
-def _spans(start: int, count: int | None) -> Iterator[tuple[int, int]]:
-    """Consecutive level ranges [start, stop) of at most BLOCK levels, up to ``count``.
+def _spans(count: int) -> Iterator[tuple[int, int]]:
+    """Consecutive level ranges [start, stop) of at most BLOCK levels, up to ``count``."""
+    return ((start, min(start + BLOCK, count)) for start in range(0, count, BLOCK))
 
-    Unbounded (count None), a range is no longer than the levels before
-    it, so the first ranges are 1, 1, 2, 4, ... levels long.
+
+def _level_arrays(nums, den: int):
+    """value, half distance and zero mask of the levels with these numerators.
+
+    Like ``exponents._log_terms``, numerators are int64 below 2**53, where
+    numpy's division rounds like Python's int / int, and Python ints above.
     """
-    while count is None or start < count:
-        if count is None:
-            stop = start + min(BLOCK, max(start, 1))
-        else:
-            stop = min(start + BLOCK, count)
-        yield start, stop
-        start = stop
+    x = np.asarray(nums, dtype=np.int64 if den < 2**53 else object)
+    return ((x / den).astype(float, copy=False),
+            (np.minimum(x, den - x) / den).astype(float, copy=False), x == 0)
 
 
-def _rational_arrays(nums: list[int], den: int):
-    """value, half distance and zero mask of the levels with these numerators."""
-    return (np.array([x / den for x in nums]),
-            np.array([min(x, den - x) / den for x in nums]),
-            np.array([x == 0 for x in nums], dtype=bool))
+def _rational_blocks(wn: WaveNumber, count: int) -> Iterator[LevelBlock]:
+    """Levels of m / (2**r q): r pre-periodic levels, then the doubling cycle of m mod q.
 
-
-def _rational_blocks(wn: WaveNumber, count: int | None) -> Iterator[LevelBlock]:
-    """Levels of m / (2**r q): r pre-periodic levels, then the doubling orbit mod q.
-
-    Numerators double in integers until the orbit closes at level r + t
-    (t the period; orbits longer than _MAX_PERIOD are not recorded and
-    are walked to the end), after which the recorded orbit is tiled.
+    From level r on the numerator over 2**r q is 2**r times a residue of
+    the cycle of m mod q, so level r + j is that cycle's residue j mod its
+    length over q.  The cycle is read no further than the levels need; more
+    than ``numtheory.MAX_ORBIT_LENGTH`` levels of a cycle that has not
+    closed by then raise ValueError.
     """
-    den, r = wn.denominator, wn.r
-    num = wn.m
-    orbit: list[int] | None = []   # numerators from level r on
-    for start, stop in _spans(0, count):
-        nums = []
-        for level in range(start, stop):
-            if level >= r and orbit is not None:
-                if orbit and num == orbit[0]:
-                    break
-                orbit.append(num)
-                if len(orbit) > _MAX_PERIOD:
-                    orbit = None
-            nums.append(num)
-            num = 2 * num % den
-        if nums:
-            yield LevelBlock(start, *_rational_arrays(nums, den),
-                             np.zeros(len(nums), dtype=bool))
-        if len(nums) < stop - start:
-            break
-    else:
-        return
-    # the orbit closed at level start + len(nums)
-    value, half, zero = _rational_arrays(orbit, den)
-    for start, stop in _spans(start + len(nums), count):
-        idx = (np.arange(start, stop) - r) % len(orbit)
-        yield LevelBlock(start, value[idx], half[idx], zero[idx],
+    den, r = wn.denominator, min(wn.r, count)
+    head = [(wn.m << level) % den for level in range(r)]
+    # at least one residue, so that the modulus below is never 0
+    cycle = _doubling_cycle(wn.m, wn.q, max(count - r, 1))
+    for start, stop in _spans(count):
+        tiled = (np.arange(max(start, r), stop) - r) % len(cycle)
+        columns = zip(_level_arrays(head[start:stop], den), _level_arrays(cycle[tiled], wn.q))
+        yield LevelBlock(start, *map(np.concatenate, columns),
                          np.zeros(stop - start, dtype=bool))
 
 

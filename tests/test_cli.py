@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tmscaling import numtheory
+from tmscaling import cli, numtheory
 from tmscaling.cli import main
 from tmscaling.numtheory import doubling_orbit
 
@@ -56,6 +56,12 @@ class TestExponentCommand:
         payload = json.loads(out)
         assert payload["kind"] == "value"
         assert abs(payload["value"] - 0.584963) < 1e-6
+
+    def test_json_written_in_batches_is_json_dumps(self, run_cli, monkeypatch):
+        monkeypatch.setattr(cli, "_ORBIT_SLICE", 3)
+        code, out, _ = run_cli("exponent", "--k", "3/17", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_bad_rational_exits_2(self, run_cli):
         code, _, err = run_cli("exponent", "--k", "abc")
@@ -167,6 +173,18 @@ class TestTraceCommand:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["samples"]) == 8
+
+    @pytest.mark.parametrize("k", ["5/4000012", "rational:5/4000012"])
+    def test_ladder_longer_than_the_budget_exits_2(self, run_cli, monkeypatch, k):
+        # 5 / (2**2 * 1000003): 2 pre-periodic levels, then the orbit of 5 mod 1000003
+        monkeypatch.setattr(numtheory, "MAX_ORBIT_LENGTH", 100)
+        code, out, _ = run_cli("riesz-trace", "--k", k, "--nmax", "102")
+        assert code == 0 and len(out.splitlines()) == 3 + 102
+        code, out, err = run_cli("riesz-trace", "--k", k, "--nmax", "103")
+        assert code == 2
+        assert out == ""
+        assert f"--k {k} --nmax 103" in err
+        assert "MAX_ORBIT_LENGTH = 100" in err
 
 
 class TestWeylCommand:

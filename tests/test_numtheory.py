@@ -1,7 +1,9 @@
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmscaling import numtheory
 from tmscaling.numtheory import (
@@ -104,15 +106,16 @@ def test_orbit_length_equals_order_for_units():
 
 def test_coset_decomposition_q7():
     dec = coset_decomposition(7)
-    assert dec.unit_orbits == [[1, 2, 4], [3, 6, 5]]
+    assert dec.unit_orbits.tolist() == [[1, 2, 4], [3, 6, 5]]
     assert dec.unit_representatives == [1, 3]
     assert dec.order_of_two == 3
 
 
 def test_coset_decomposition_q9():
     dec = coset_decomposition(9)
-    assert dec.unit_orbits == [[1, 2, 4, 8, 7, 5]]
-    assert [sorted(o) for o in dec.orbits if sorted(o) == [3, 6]]
+    assert dec.unit_orbits.tolist() == [[1, 2, 4, 8, 7, 5]]
+    # the non-units {3, 6} form the orbit 3 * S_3, outside the decomposition
+    assert sorted(doubling_orbit(3, 9)) == [3, 6]
     assert dec.order_of_two == 6
 
 
@@ -130,23 +133,31 @@ def test_coset_decomposition_rejects_even():
 @pytest.mark.parametrize("q", list(range(3, 402, 2)))
 def test_decomposition_invariants(q):
     dec = coset_decomposition(q)
-    # exact partition of {1, ..., q-1}
-    all_residues = sorted(x for orbit in dec.orbits for x in orbit)
-    assert all_residues == list(range(1, q))
-    for orbit in dec.orbits:
+    rows = dec.unit_orbits.tolist()
+    # the rows partition the unit group U_q
+    units = [x for x in range(1, q) if math.gcd(x, q) == 1]
+    assert sorted(x for row in rows for x in row) == units
+    for row in rows:
         # full doubling cycle starting at the minimum
-        assert orbit[0] == min(orbit)
-        for i, x in enumerate(orbit):
-            assert orbit[(i + 1) % len(orbit)] == (2 * x) % q
-    # the orbit of 1 is the subgroup generated by 2
-    assert dec.orbits[0][0] == 1
-    assert len(dec.orbits[0]) == mult_order_of_two(q)
+        assert row[0] == min(row)
+        for i, x in enumerate(row):
+            assert row[(i + 1) % len(row)] == (2 * x) % q
+    # row 0 is the subgroup generated by 2
+    assert rows[0] == [pow(2, j, q) for j in range(mult_order_of_two(q))]
     # cosets have equal cardinality and exhaust the unit group
-    assert all(len(o) == dec.order_of_two for o in dec.unit_orbits)
-    assert sum(len(o) for o in dec.unit_orbits) == euler_phi(q)
+    assert all(len(row) == dec.order_of_two for row in rows)
+    assert len(rows) * dec.order_of_two == euler_phi(q)
     # deterministic ordering by representative
-    reps = dec.representatives
+    reps = dec.unit_representatives
     assert reps == sorted(reps)
+    # the non-units: d times the unit cosets of q/d, each a doubling orbit mod q
+    rest = []
+    for d in divisors(q)[1:-1]:
+        for row in coset_decomposition(q // d).unit_orbits.tolist():
+            orbit = [d * x for x in row]
+            assert orbit == doubling_orbit(orbit[0], q)
+            rest += orbit
+    assert sorted(rest + units) == list(range(1, q))
 
 
 def test_totient_sum_up_to_2000():
@@ -166,3 +177,29 @@ def test_orbit_longer_than_the_budget_raises(monkeypatch):
     assert mult_order_of_two(127) == 7
     with pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 7"):
         mult_order_of_two(257)
+
+
+def plain_cycle(p: int, q: int, limit: int) -> list[int]:
+    """p, 2p, 4p, ... (mod q) one doubling at a time, until p returns or ``limit`` residues."""
+    out = [p % q]
+    while len(out) < limit and 2 * out[-1] % q != out[0]:
+        out.append(2 * out[-1] % q)
+    return out
+
+
+ODD = st.integers(0, 2 ** 62).map(lambda i: 2 * i + 1)
+# 2**n -/+ 1: the orbit of 1 closes after n or 2n residues, on both sides of
+# the int64 / object dtype switch at 2**31 and of float64's 2**53
+MODULI = st.one_of(st.integers(1, 2000).map(lambda i: 2 * i + 1), ODD,
+                   st.sampled_from([2**31 - 1, 2**31 + 1, 2**53 - 1, 2**53 + 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=MODULI, shared=st.integers(0, 60).map(lambda i: 2 * i + 1),
+       p=st.integers(0, 2 ** 72), limit=st.integers(1, 300), step=st.integers(1, 9))
+def test_doubling_cycle_is_the_plain_walk(q, shared, p, limit, step):
+    # shared * q stays below 2**70; p * shared has gcd >= shared with it
+    q, p = q * shared, p * shared
+    with mock.patch.object(numtheory, "_STEP", step):
+        got = numtheory._doubling_cycle(p, q, limit)
+    assert got.tolist() == plain_cycle(p, q, limit)

@@ -168,8 +168,15 @@ class TestTrace:
     def test_sample_levels_subset(self):
         tr = trace(Fraction(1, 3), 100, sample_levels=[10, 50, 100])
         assert [s.level for s in tr.samples] == [10, 50, 100]
+        # unsorted, repeated levels are recorded once each, in order
+        tr = trace(Fraction(1, 3), 100, sample_levels=(50, 10, 100, 50, 10))
+        assert tr.samples.level.tolist() == [10, 50, 100]
         with pytest.raises(ValueError):
             trace(Fraction(1, 3), 10, sample_levels=[11])
+        with pytest.raises(ValueError, match=r"outside 1\.\.10: \[0, 11\]$"):
+            trace(Fraction(1, 3), 10, sample_levels=[11, 5, 0, 11, 0])
+        with pytest.raises(ValueError, match=r"outside 1\.\.10"):
+            trace(Fraction(1, 3), 10, sample_levels=[5, 2 ** 64])
 
     def test_empty_sample_levels_raises(self):
         with pytest.raises(ValueError, match="sample_levels"):

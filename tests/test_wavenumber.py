@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmscaling import wavenumber
+from tmscaling import numtheory, wavenumber
 from tmscaling.riesz import trace
 from tmscaling.streams import DigitStream, flipped, random_bits, rational_periodic
 from tmscaling.wavenumber import FracLevel, frac_levels
@@ -169,12 +169,41 @@ def test_unbounded_levels_read_a_finite_iterator_lazily():
     want = reference_stream(digits, 100, window)
     for make in (iter, list):
         stream = DigitStream(make(digits), "finite", {})
-        first = next(iter(frac_levels(stream, window=window)))
+        first = next(iter(frac_levels(stream, 100, window=window)))
         assert FracLevel(*want[0]) == first
         stream = DigitStream(make(digits), "finite", {})
-        got = list(itertools.islice(frac_levels(stream, window=window), 100))
+        got = list(itertools.islice(frac_levels(stream, 100, window=window), 100))
         assert got == [FracLevel(*row) for row in want[:100]]
-    with small_blocks(16):
-        for k in (Fraction(1, 9), Fraction(3, 8), rational_periodic(5, 7), random_bits(1)):
-            unbounded = list(itertools.islice(frac_levels(k), 100))
-            assert unbounded == list(frac_levels(k, 100))
+
+
+def binary_digits(k: Fraction):
+    """The binary digits of k in [0, 1), one at a time, from a plain iterator."""
+    while True:
+        k *= 2
+        yield int(k >= 1)
+        k %= 1
+
+
+@SETTINGS
+@given(m=st.integers(1, 10 ** 6), r=st.integers(0, 40),
+       q=st.integers(0, 2 ** 40).map(lambda i: 2 * i + 1), count=st.integers(1, 400))
+def test_exact_ladder_agrees_with_the_window_kernel(m, r, q, count):
+    k = Fraction(m, 2 ** r * q) % 1
+    exact = kernel(k, count)
+    windows = kernel(DigitStream(binary_digits(k), "digits", {}), count)
+    assert len(windows) == len(exact) == count
+    for (value, half, _, _), (w_value, w_half, _, _) in zip(exact, windows):
+        assert abs(w_value - value) <= 1e-12 and abs(w_half - half) <= 1e-12
+
+
+def test_a_ladder_longer_than_the_orbit_budget_raises(monkeypatch):
+    # the orbit of 1 mod 2**8 + 1 has 16 residues; 3 pre-periodic levels come first
+    monkeypatch.setattr(numtheory, "MAX_ORBIT_LENGTH", 7)
+    k = Fraction(1, 8 * 257)
+    assert kernel(k, 10) == reference_rational(k, 10)
+    with pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 7"):
+        kernel(k, 11)
+    with pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 7"):
+        trace(rational_periodic(1, 8 * 257), 100)
+    k = Fraction(1, 8 * 127)   # a closed orbit of 7 residues is tiled as far as wanted
+    assert kernel(k, 1000) == reference_rational(k, 1000)
