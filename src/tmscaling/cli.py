@@ -20,7 +20,7 @@ import sys
 
 from . import exponents, expansions, riesz
 from .serialize import format_float, json_number
-from .streams import DigitStream, PowersOfTwo, flipped, random_bits, rational_periodic
+from .streams import DigitStream, PowersOfTwo, flipped, random_bits
 from .wavenumber import WaveNumber
 
 PROG = "tmscaling"
@@ -77,14 +77,13 @@ def parse_stream_spec(spec: str) -> DigitStream:
             raise ValueError("random stream needs a seed: random:SEED")
         return random_bits(_spec_int(spec, rest, "random:SEED"))
     if kind == "rational":
-        wn = WaveNumber.parse(rest)
-        return rational_periodic(wn.m, wn.denominator)
+        return expansions.rational_stream(WaveNumber.parse(rest))
     if kind == "flipped":
         frac, _, start = rest.partition(":")
         wn = WaveNumber.parse(frac)
         positions = PowersOfTwo(
             _spec_int(spec, start, "flipped:M/Q[:START]") if start else 1)
-        return flipped(rational_periodic(wn.m, wn.denominator), positions)
+        return flipped(expansions.rational_stream(wn), positions)
     raise ValueError(
         f"unknown stream spec {spec!r}; use random:SEED, rational:M/Q "
         f"or flipped:M/Q[:START]")

@@ -16,6 +16,7 @@ generators in ``streams``:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,8 @@ import numpy as np
 from . import riesz
 from .riesz import RieszTrace, log_factors
 from .serialize import json_number
-from .streams import DigitStream, PowersOfTwo, block_mixed, flipped, rational_periodic
+from .streams import (DigitStream, PowersOfTwo, block_ends, block_mixed, flipped,
+                      rational_periodic)
 from .wavenumber import WINDOW, RationalLike, as_wave_number, frac_levels
 
 __all__ = [
@@ -43,17 +45,16 @@ def rational_stream(k: RationalLike) -> DigitStream:
     return rational_periodic(wn.m, wn.denominator)
 
 
-def frac_pow2(stream: DigitStream, n: int, window: int = 64) -> float:
-    """frac(2**n k) assembled from digits n+1 .. n+window.
+def frac_pow2(stream: DigitStream, n: int) -> float:
+    """frac(2**n k) assembled from the WINDOW = 64 digits n+1 .. n+64.
 
-    Truncation error below 2**-window (the float rounding of the
-    truncated value is the binding resolution once window exceeds 53).
+    Truncation error below 2**-64; the returned float is the correctly
+    rounded value of the truncated expansion, so the float mantissa is
+    the binding resolution.
     """
-    if window < 32:
-        raise ValueError(f"window must be at least 32 digits, got {window}")
     if n < 0:
         raise ValueError(f"shift must be non-negative, got {n}")
-    return stream.frac_window(n, window)
+    return stream.window_int(n, WINDOW) / float(1 << WINDOW)
 
 
 @dataclass
@@ -111,7 +112,7 @@ def weyl_diagnostics(stream: DigitStream, samples: int, harmonics: int) -> WeylR
     )
 
 
-def perturbed_exponent_trace(base: RationalLike, positions=None,
+def perturbed_exponent_trace(base: RationalLike, positions: PowersOfTwo = PowersOfTwo(1),
                              n_max: int = 4096) -> RieszTrace:
     """Running-exponent trace of a rational expansion with flipped digits.
 
@@ -123,9 +124,7 @@ def perturbed_exponent_trace(base: RationalLike, positions=None,
     wn = as_wave_number(base)
     if wn.is_dyadic:
         raise ValueError("base must have an odd part q >= 3 (non-dyadic)")
-    if positions is None:
-        positions = PowersOfTwo(1)
-    stream = flipped(rational_periodic(wn.m, wn.denominator), positions)
+    stream = flipped(rational_stream(wn), positions)
     stride = max(1, math.ceil(n_max / 4096))
     levels = {*range(stride, n_max + 1, stride), n_max}
     return riesz.trace(stream, n_max, sample_levels=levels)
@@ -143,6 +142,7 @@ def mixed_exponent_trace(stream_a: DigitStream, stream_b: DigitStream,
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     mixed = block_mixed(stream_a, stream_b, growth=growth)
-    tr = riesz.trace(mixed, n_max, sample_levels={*mixed.block_boundaries(n_max), n_max})
+    ends = itertools.takewhile(lambda end: end <= n_max, block_ends(growth))
+    tr = riesz.trace(mixed, n_max, sample_levels={*ends, n_max})
     running = tr.samples.running_exponent
     return tr, float(running.min()), float(running.max())

@@ -7,7 +7,8 @@ kernel, ``_doubling_cycle``, walks that map for every caller here and for
 the exact level ladder in ``wavenumber``: numpy block doubling in exact
 integer arithmetic (int64 below 2**31, Python ints above).  A single orbit
 may have up to MAX_ORBIT_LENGTH residues (the modulus itself may be any
-size); a longer one raises ValueError rather than growing without limit.
+size, except for ``coset_decomposition``, which covers all of U_q); a
+longer one raises ValueError rather than growing without limit.
 Enumerations walk every q up to 10**4, where trial division is plenty.
 """
 
@@ -139,9 +140,14 @@ def coset_decomposition(q: int) -> OrbitDecomposition:
     """Decompose U_q into the cosets u*S_q with minimal representatives.
 
     S_q is built once; each next representative is the smallest unit not
-    yet covered, so cosets come out sorted by representative.
+    yet covered, so cosets come out sorted by representative.  The cosets
+    cover U_q, which takes a q-entry mask, so q may be at most
+    MAX_ORBIT_LENGTH.
     """
     _require_odd_modulus(q)
+    if q > MAX_ORBIT_LENGTH:
+        raise ValueError(f"the cosets of {q} cover more than the budget of "
+                         f"MAX_ORBIT_LENGTH = {MAX_ORBIT_LENGTH} residues")
     subgroup = _doubling_cycle(1, q, q)
     free = np.ones(q, dtype=bool)   # the units: no divisor d > 1 of q divides them
     for d in divisors(q)[1:]:

@@ -189,28 +189,22 @@ def _grid_density(n: int, x: np.ndarray) -> np.ndarray:
     return val
 
 
-def interval_mass(n: int, a: float, b: float,
-                  nodes_per_unit: int | None = None) -> float:
+def interval_mass(n: int, a: float, b: float) -> float:
     """Mass of f_n over [a, b) by a uniform left-endpoint grid.
 
-    On the full interval [0, 1] with a power-of-two node count the sum is
-    the exact integral (f_n is a trigonometric polynomial with
-    frequencies below 2**n, and the fractional parts on the grid are
-    computed by integer bit arithmetic), so interval_mass(n, 0, 1) is 1
-    up to rounding.  Sub-intervals are first-order accurate in the grid
-    step.
+    The grid has N = 2**max(n+3, 12) nodes per unit length.  On the full
+    interval [0, 1] the sum is the exact integral (f_n is a trigonometric
+    polynomial with frequencies below 2**n, and the fractional parts on
+    the grid are computed by integer bit arithmetic), so
+    interval_mass(n, 0, 1) is 1 up to rounding.  Sub-intervals are
+    first-order accurate in the grid step.
     """
     if not 0.0 <= a < b <= 1.0:
         raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
     if not 0 <= n <= 12:
         raise ValueError(f"level must be in 0..12, got {n}")
-    if nodes_per_unit is None:
-        nodes_per_unit = 1 << max(n + 3, 12)
-    if nodes_per_unit < (1 << (n + 3)):
-        raise ValueError("need at least 2**(n+3) nodes per unit length")
-
-    if a == 0.0 and b == 1.0 and nodes_per_unit & (nodes_per_unit - 1) == 0:
-        N = nodes_per_unit
+    N = 1 << max(n + 3, 12)
+    if a == 0.0 and b == 1.0:
         j = np.arange(N, dtype=np.int64)
         val = np.ones(N)
         for l in range(n):
@@ -220,7 +214,8 @@ def interval_mass(n: int, a: float, b: float,
             val *= 2.0 * s * s
         return float(val.mean())
 
-    nodes = max(16, math.ceil((b - a) * nodes_per_unit))
+    # the float grid keeps at least 16 nodes on a sub-interval narrower than 1/N
+    nodes = max(16, math.ceil((b - a) * N))
     h = (b - a) / nodes
     x = a + h * np.arange(nodes)
     return float(_grid_density(n, x).sum() * h)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Union
 
 #: digits a source is asked for at most per call
 _MAX_FILL = 1 << 16
@@ -79,15 +79,6 @@ class DigitStream:
     def window_int(self, shift: int, width: int) -> int:
         """Digits shift+1 .. shift+width packed big-endian into an integer."""
         return int(b"0" + self.digits(shift, shift + width).translate(_TO_ASCII), 2)
-
-    def frac_window(self, shift: int, width: int = 64) -> float:
-        """Truncated fractional part frac(2**shift * k) from a width-digit window.
-
-        The truncation error is below 2**-width; the returned float is the
-        correctly rounded value of the truncated expansion, so for width
-        beyond 53 the float mantissa is the binding resolution.
-        """
-        return self.window_int(shift, width) / float(1 << width)
 
     def description(self) -> dict:
         """Reproducibility record: construction kind and all parameters."""
@@ -153,152 +144,70 @@ class PowersOfTwo:
             raise ValueError("start_exponent must be >= 0")
         self.start_exponent = start_exponent
 
-    def __contains__(self, j: int) -> bool:
-        return j >= (1 << self.start_exponent) and (j & (j - 1)) == 0
-
     def positions_upto(self, n: int) -> list[int]:
-        out = []
-        j = 1 << self.start_exponent
-        while j <= n:
-            out.append(j)
-            j <<= 1
-        return out
+        return [1 << r for r in range(self.start_exponent, n.bit_length())]
 
     def describe(self):
         return {"rule": "powers-of-two", "start_exponent": self.start_exponent}
 
 
-def _describe_positions(positions) -> object:
-    if hasattr(positions, "describe"):
-        return positions.describe()
-    if isinstance(positions, (set, frozenset, list, tuple)):
-        return sorted(positions)
-    return repr(positions)
-
-
-def _positions_label(positions) -> str:
-    if isinstance(positions, PowersOfTwo):
-        return f"powers-of-two(start={positions.start_exponent})"
-    if isinstance(positions, (set, frozenset, list, tuple)):
-        return "{" + ",".join(str(p) for p in sorted(positions)) + "}"
-    return repr(positions)
-
-
-def _positions_between(positions, start: int, stop: int) -> list[int]:
-    """Positions j with start < j <= stop."""
-    if isinstance(positions, PowersOfTwo):
-        return [j for j in positions.positions_upto(stop) if j > start]
-    return [j for j in range(start + 1, stop + 1) if j in positions]
-
-
-def flipped(base: DigitStream, positions=None) -> DigitStream:
+def flipped(base: DigitStream, positions: PowersOfTwo = PowersOfTwo(1)) -> DigitStream:
     """Stream equal to ``base`` except with digits inverted on ``positions``.
 
-    ``positions`` is anything supporting ``j in positions``; the default
-    rule flips positions 2, 4, 8, 16, ...
+    ``positions`` is a ``PowersOfTwo`` rule; the default flips positions
+    2, 4, 8, 16, ...
     """
-    if positions is None:
-        positions = PowersOfTwo(1)
 
     def fill(start: int, n: int) -> bytes:
         block = bytearray(base.digits(start, start + n))
-        for j in _positions_between(positions, start, start + n):
-            block[j - start - 1] ^= 1
+        for j in positions.positions_upto(start + n):
+            if j > start:
+                block[j - start - 1] ^= 1
         return block
 
-    params = {"base": base.description(), "flips": _describe_positions(positions)}
-    label = f"flipped({base.label()},flips={_positions_label(positions)})"
+    params = {"base": base.description(), "flips": positions.describe()}
+    label = f"flipped({base.label()},flips=powers-of-two(start={positions.start_exponent}))"
     return DigitStream(fill, "flipped", params, label_text=label)
 
 
-class BlockMixedStream(DigitStream):
-    """Alternating blocks from two streams, indexed by absolute position.
-
-    Block j (1-indexed) has length schedule(j) and draws from stream A for
-    odd j, stream B for even j; each source digit keeps its absolute
-    position, so a block reproduces a verbatim stretch of its source's
-    expansion.  Block lengths must be strictly increasing; a violation is
-    raised when a read first reaches the offending block.
-    """
-
-    def __init__(self, stream_a: DigitStream, stream_b: DigitStream,
-                 schedule, params: dict, label_text: str | None = None):
-        self._schedule = schedule
-        j = 0          # block holding the last digit filled so far
-        length = 0     # its length
-        end = 0        # its last position
-
-        def fill(start: int, n: int) -> bytes:
-            nonlocal j, length, end
-            parts = []
-            pos, stop = start, start + n
-            while pos < stop:
-                if pos == end:
-                    j += 1
-                    new_length = schedule(j)
-                    if new_length <= length:
-                        raise ValueError(
-                            f"block lengths must be strictly increasing "
-                            f"(block {j} has length {new_length} after {length})")
-                    length = new_length
-                    end += length
-                source = stream_a if j % 2 == 1 else stream_b
-                take = min(stop, end)
-                parts.append(source.digits(pos, take))
-                pos = take
-            return b"".join(parts)
-
-        super().__init__(fill, "block-mixed", params, label_text=label_text)
-
-    def block_boundaries(self, limit: int) -> list[int]:
-        """Cumulative block end positions up to and including ``limit``."""
-        out = []
-        pos = 0
-        j = 1
-        while True:
-            pos += self._schedule(j)
-            if pos > limit:
-                return out
-            out.append(pos)
-            j += 1
+def block_ends(growth: int) -> Iterator[int]:
+    """End positions growth, growth + growth**2, ... of the blocks of ``block_mixed``."""
+    if growth < 2:
+        raise ValueError("growth must be >= 2")
+    return itertools.accumulate(growth ** j for j in itertools.count(1))
 
 
 def block_mixed(stream_a: DigitStream, stream_b: DigitStream,
-                schedule: Sequence[int] | None = None,
-                growth: int = 4) -> BlockMixedStream:
+                growth: int = 4) -> DigitStream:
     """Mix two expansions in alternating blocks (A first).
 
-    With the default geometric schedule, block j has length growth**j, so
-    each block is at least as long as all previous blocks combined
-    (for growth >= 2) and dominates the running averages at its end.
-    An explicit ``schedule`` of strictly increasing lengths may be given
-    instead; past its end it is continued geometrically.
+    Block j (1-indexed) has length growth**j and draws from stream A for
+    odd j, stream B for even j; each source digit keeps its absolute
+    position, so a block reproduces a verbatim stretch of its source's
+    expansion.  Each block is at least as long as all previous blocks
+    combined (for growth >= 2) and dominates the running averages at its
+    end.
     """
-    if schedule is not None:
-        lengths = list(schedule)
-        if not lengths:
-            raise ValueError("explicit schedule must be non-empty")
+    ends = block_ends(growth)
+    j = 0          # block holding the last digit filled so far
+    end = 0        # its last position
 
-        def sched(j: int) -> int:
-            if j <= len(lengths):
-                return lengths[j - 1]
-            return lengths[-1] * growth ** (j - len(lengths))
+    def fill(start: int, n: int) -> bytes:
+        nonlocal j, end
+        parts = []
+        pos, stop = start, start + n
+        while pos < stop:
+            if pos == end:
+                j += 1
+                end = next(ends)
+            source = stream_a if j % 2 == 1 else stream_b
+            take = min(stop, end)
+            parts.append(source.digits(pos, take))
+            pos = take
+        return b"".join(parts)
 
-        params_sched: object = lengths
-    else:
-        if growth < 2:
-            raise ValueError("growth must be >= 2")
-
-        def sched(j: int) -> int:
-            return growth ** j
-
-        params_sched = f"geometric:{growth}"
-
-    params = {
-        "a": stream_a.description(),
-        "b": stream_b.description(),
-        "schedule": params_sched,
-    }
+    schedule = f"geometric:{growth}"
+    params = {"a": stream_a.description(), "b": stream_b.description(), "schedule": schedule}
     label = (f"block-mixed(a={stream_a.label()},b={stream_b.label()},"
-             f"schedule={params_sched})")
-    return BlockMixedStream(stream_a, stream_b, sched, params, label_text=label)
+             f"schedule={schedule})")
+    return DigitStream(fill, "block-mixed", params, label_text=label)

@@ -228,7 +228,10 @@ class TestTraceGoldenOutput:
 
     The digests were taken from the per-sample formatting that preceded
     the columnar trace (one ``format_float`` call per value), so they pin
-    every byte of the CSV and JSON renderings.
+    every byte of the CSV and JSON renderings.  The last three pin the
+    labels and descriptions of flipped and block-mixed streams; they were
+    taken while ``flipped`` still took any container of positions and
+    ``block_mixed`` an explicit schedule.
     """
 
     @pytest.mark.parametrize("argv,digest", [
@@ -248,6 +251,12 @@ class TestTraceGoldenOutput:
          "dc28297b34e4da9165a45744d4d4b50eaf628afb6e0ecd9e1a16169ce3172855"),
         ("mix --a rational:1/3 --b random:7 --nmax 20000",
          "26cbf88c650799e999eee018961a933badec611f35485feaadc13e23bbabdabd"),
+        ("weyl --stream flipped:1/3:2 --samples 5000 --format json",
+         "4b5d583f6fa7de5365158864f78595fa8614a7aa260ac58a2e365067c76ad8bd"),
+        ("perturb --k 1/3 --flip-start 0 --nmax 300 --format json",
+         "cc97a2d110728a8c3bc6968477a5944be7731f661928fd75f9523774a12829c3"),
+        ("mix --a flipped:1/5:0 --b random:9 --growth 2 --nmax 70000 --format json",
+         "68dc44e025051810c10dcbda34b26f3167df46359a562b77806ab3140bd16a61"),
     ])
     def test_stdout_digest(self, run_cli, argv, digest):
         code, out, err = run_cli(*shlex.split(argv))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from tmscaling.expansions import (
     weyl_diagnostics,
 )
 from tmscaling.riesz import partial_product_log, running_exponent, trace
-from tmscaling.streams import PowersOfTwo, block_mixed, flipped, random_bits, rational_periodic
+from tmscaling.streams import (PowersOfTwo, block_ends, block_mixed, flipped, random_bits,
+                               rational_periodic)
 
 LOG2_3_HALVES = math.log2(1.5)
 
@@ -46,8 +48,8 @@ class TestDigitStreams:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 100, 1024, 10 ** 6])
     def test_flip_sparsity(self, n):
-        rule = PowersOfTwo(1)
-        touched = sum(1 for j in range(1, n + 1) if j in rule)
+        base = rational_periodic(1, 3)
+        touched = sum(a != b for a, b in zip(flipped(base).digits(0, n), base.digits(0, n)))
         assert touched == int(math.log2(n))
 
     def test_flip_rule_start_exponent(self):
@@ -55,13 +57,9 @@ class TestDigitStreams:
         assert rule.positions_upto(8) == [1, 2, 4, 8]
         assert PowersOfTwo(1).positions_upto(8) == [2, 4, 8]
 
-    def test_explicit_flip_positions(self):
-        stream = flipped(rational_periodic(1, 3), {1, 3})
-        assert stream.prefix(4) == [1, 1, 1, 1]
-
     def test_block_boundaries(self):
-        mixed = block_mixed(rational_periodic(1, 3), random_bits(0))
-        assert mixed.block_boundaries(65536) == [4, 20, 84, 340, 1364, 5460, 21844]
+        ends = itertools.takewhile(lambda end: end <= 65536, block_ends(4))
+        assert list(ends) == [4, 20, 84, 340, 1364, 5460, 21844]
 
     def test_block_contents_alternate(self):
         a = rational_periodic(1, 3)
@@ -71,12 +69,6 @@ class TestDigitStreams:
         assert mixed.prefix(20)[4:] == b.prefix(20)[4:]
         assert mixed.prefix(84)[20:] == a.prefix(84)[20:]
 
-    def test_explicit_schedule_must_increase(self):
-        mixed = block_mixed(rational_periodic(1, 3), random_bits(0),
-                            schedule=[4, 4])
-        with pytest.raises(ValueError):
-            mixed.prefix(16)
-
     def test_digit_indexing_validates(self):
         with pytest.raises(ValueError):
             rational_periodic(1, 3).digit(0)
@@ -84,25 +76,24 @@ class TestDigitStreams:
 
 class TestFracPow2:
     def test_one_third_shift_zero(self):
-        x = frac_pow2(rational_stream("1/3"), 0, window=64)
+        x = frac_pow2(rational_stream("1/3"), 0)
         assert x == pytest.approx(1.0 / 3.0, abs=2 ** -60)
 
     def test_one_third_shift_one(self):
-        x = frac_pow2(rational_stream("1/3"), 1, window=64)
+        x = frac_pow2(rational_stream("1/3"), 1)
         assert x == pytest.approx(2.0 / 3.0, abs=2 ** -60)
 
     def test_flipped_window_matches_flip_rule(self):
         # recompute the expected 8-digit window from the rule directly
         base = rational_periodic(1, 3)
         stream = flipped(rational_periodic(1, 3), PowersOfTwo(1))
-        bits = [base.digit(j) ^ (1 if j in PowersOfTwo(1) else 0)
+        flips = PowersOfTwo(1).positions_upto(8)
+        bits = [base.digit(j) ^ (1 if j in flips else 0)
                 for j in range(1, 9)]
         expected = sum(b * 2.0 ** -(i + 1) for i, b in enumerate(bits))
-        assert frac_pow2(stream, 0, window=32) == pytest.approx(expected, abs=2 ** -8)
+        assert frac_pow2(stream, 0) == pytest.approx(expected, abs=2 ** -8)
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            frac_pow2(rational_stream("1/3"), 0, window=16)
+    def test_shift_validation(self):
         with pytest.raises(ValueError):
             frac_pow2(rational_stream("1/3"), -1)
 
@@ -166,7 +157,8 @@ class TestPerturbedTrace:
         assert abs(final - 0.584963) <= 0.1
 
     def test_empty_flip_set_reproduces_base(self):
-        tr = perturbed_exponent_trace("1/3", positions=frozenset(), n_max=60)
+        # level 60 reads digits up to 124; the first flip is at 128
+        tr = perturbed_exponent_trace("1/3", positions=PowersOfTwo(7), n_max=60)
         for level in (2, 30, 60):
             assert tr.samples[level - 1].running_exponent == pytest.approx(
                 LOG2_3_HALVES, abs=1e-9)

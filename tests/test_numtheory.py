@@ -179,6 +179,17 @@ def test_orbit_longer_than_the_budget_raises(monkeypatch):
         mult_order_of_two(257)
 
 
+def test_modulus_above_the_budget_raises_before_walking(monkeypatch):
+    # 2 has order 11 mod 2047, within the budget, but the unit mask would
+    # take 2047 entries; q is refused before the subgroup or the mask is built
+    monkeypatch.setattr(numtheory, "MAX_ORBIT_LENGTH", 64)
+    assert mult_order_of_two(2047) == 11
+    with mock.patch.object(numtheory, "_doubling_cycle", side_effect=AssertionError), \
+            pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 64"):
+        coset_decomposition(2047)
+    assert coset_decomposition(63).order_of_two == 6
+
+
 def plain_cycle(p: int, q: int, limit: int) -> list[int]:
     """p, 2p, 4p, ... (mod q) one doubling at a time, until p returns or ``limit`` residues."""
     out = [p % q]

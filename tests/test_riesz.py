@@ -248,8 +248,6 @@ class TestIntervalMass:
             interval_mass(3, -0.1, 0.5)
         with pytest.raises(ValueError):
             interval_mass(13, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            interval_mass(3, 0.0, 1.0, nodes_per_unit=16)
 
 
 class TestLogIntegral:
