@@ -294,15 +294,12 @@ def _cmd_identities(args, inv: str) -> int:
         dev = abs(lhs - rhs) / abs(rhs) if rhs != 0 else abs(lhs)
         if dev > worst_qsum[0]:
             worst_qsum = (dev, n)
-    worst_coset = (0.0, None)
-    worst_moebius = (0.0, None)
-    for q in range(3, args.qmax + 1, 2):
-        lhs, rhs = exponents.check_coset_sum_identity(q)
+    worst_coset = worst_moebius = (0.0, None)
+    for q, (lhs, rhs), (m_lhs, m_rhs) in exponents.coset_identities(args.qmax):
         if abs(lhs - rhs) > worst_coset[0]:
             worst_coset = (abs(lhs - rhs), q)
-        lhs, rhs = exponents.moebius_inverted_coset_sum(q)
-        if abs(lhs - rhs) > worst_moebius[0]:
-            worst_moebius = (abs(lhs - rhs), q)
+        if abs(m_lhs - m_rhs) > worst_moebius[0]:
+            worst_moebius = (abs(m_lhs - m_rhs), q)
 
     failed = (worst_qsum[0] > args.tol or worst_coset[0] > args.tol
               or worst_moebius[0] > args.tol)

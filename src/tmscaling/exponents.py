@@ -6,8 +6,8 @@ formula, since the orbit is a cycle and no factor vanishes for odd q.
 The dyadic prefactor 2**r contributes finitely many non-zero factors and
 drops out of the limit; dyadic k itself (q = 1) is an extinction point.
 
-When 2 generates the full unit group mod q the orbit average collapses
-to the closed form g(q) = 2 log(q) / ((q-1) log 2) - 1, and for general
+When 2 and -1 generate the unit group of a prime q the orbit average
+collapses to the closed form g(q) = 2 log(q) / ((q-1) log 2) - 1; for general
 odd q the orbit averages across divisors are tied together by a
 divisor-sum identity and its Moebius inversion.  Both identities are
 implemented as (lhs, rhs) pairs so tests and the CLI can measure the
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -67,7 +68,8 @@ def _log_terms(residues, q: int) -> np.ndarray:
     """log2(2 sin(pi n/q)**2) for every residue n, in the shape of ``residues``.
 
     Each term is bit-equal to ``log_factor_from_half_dist(min(n, q - n) / q)``
-    of ``riesz``.  numpy does only exactly rounded IEEE steps (minimum,
+    of ``riesz``: n and q - n give the same bits, so callers pass each
+    half-distance once.  numpy does only exactly rounded IEEE steps (minimum,
     subtraction, division, products, 1 + 2x); sin and log2 are mapped as
     ``math.sin`` and ``math.log2`` (libm), because numpy's own sin and log2
     may differ from libm in the last bit, depending on the numpy build and
@@ -82,14 +84,28 @@ def _log_terms(residues, q: int) -> np.ndarray:
 
 
 def _orbit_mean(orbit: list[int], q: int) -> float:
-    """Average of log2(1 - cos(2 pi n/q)) over the residues n of an orbit."""
+    """Average of log2(1 - cos(2 pi n/q)) over the residues n of an orbit.
+
+    If -1 is in S_q, orbit[k//2 + i] == q - orbit[i] repeats the terms of the
+    first half, whose mean has the same bits (fsum rounds once; 2x is exact).
+    """
+    k = len(orbit)
+    if k % 2 == 0 and orbit[k // 2] == q - orbit[0]:
+        orbit = orbit[:k // 2]
     return math.fsum(_log_terms(orbit, q).tolist()) / len(orbit)
 
 
 def _coset_means(dec: OrbitDecomposition) -> list[float]:
-    """``_orbit_mean`` of every unit orbit of ``dec``, from one (cosets x order) array."""
-    terms = _log_terms(dec.unit_orbits, dec.q)
-    return [math.fsum(row) / dec.order_of_two for row in terms.tolist()]
+    """``_orbit_mean`` of every unit orbit of ``dec``, from one (cosets x order) array.
+
+    u*S_q and -u*S_q share half-distances: one table of terms per q, gathered.
+    """
+    half = np.minimum(dec.unit_orbits, dec.q - dec.unit_orbits)
+    seen = np.zeros(dec.q // 2 + 1, dtype=bool)
+    seen[half] = True
+    table = np.zeros(dec.q // 2 + 1)
+    table[seen] = _log_terms(np.flatnonzero(seen), dec.q)
+    return [math.fsum(row) / dec.order_of_two for row in table[half].tolist()]
 
 
 def orbit_log_mean(p: int, q: int) -> float:
@@ -139,12 +155,28 @@ def beta_rational(k: RationalLike) -> ExponentResult:
 def g_closed_form(q: int) -> float:
     """g(q) = 2 log(q) / ((q-1) log 2) - 1, for odd q >= 3.
 
-    Equals the exponent of 1/q whenever 2 is a primitive root mod q;
-    positive exactly for q = 3 and q = 5.
+    Equals the exponent of 1/q for prime q with <2, -1> = U_q (and, for odd
+    q < 5000, only then); positive exactly for q = 3 and q = 5.
     """
     if q < 3 or q % 2 == 0:
         raise ValueError(f"q must be odd and >= 3, got {q}")
     return 2.0 * math.log2(q) / (q - 1) - 1.0
+
+
+def _coset_sum(d: int) -> tuple[int, float]:
+    """(order of 2 mod d, sum of the exponents over the unit cosets of d)."""
+    dec = coset_decomposition(d)
+    return dec.order_of_two, math.fsum(_coset_means(dec))
+
+
+def _coset_sum_pair(q: int, sums: dict[int, tuple[int, float]]) -> tuple[float, float]:
+    rhs = g_closed_form(q)      # first: it rejects q = 1, which has no divisor d > 1
+    return math.fsum(sums[d][0] * sums[d][1] for d in divisors(q)[1:]) / (q - 1), rhs
+
+
+def _moebius_pair(q: int, sums: dict[int, tuple[int, float]]) -> tuple[float, float]:
+    rhs = math.fsum(moebius(q // d) * (d - 1) * g_closed_form(d) for d in divisors(q)[1:])
+    return sums[q][1], rhs / sums[q][0]
 
 
 def check_coset_sum_identity(q: int) -> tuple[float, float]:
@@ -155,16 +187,7 @@ def check_coset_sum_identity(q: int) -> tuple[float, float]:
     rhs = g(q).  Exact for every odd q >= 3, because the terms regroup
     the full factor sum over m/q, m = 1..q-1.
     """
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be odd and >= 3, got {q}")
-    parts = []
-    for d in divisors(q):
-        if d == 1:
-            continue
-        dec = coset_decomposition(d)
-        parts.append(dec.order_of_two * math.fsum(_coset_means(dec)))
-    lhs = math.fsum(parts) / (q - 1)
-    return lhs, g_closed_form(q)
+    return _coset_sum_pair(q, {d: _coset_sum(d) for d in divisors(q)[1:]})
 
 
 def moebius_inverted_coset_sum(q: int) -> tuple[float, float]:
@@ -173,16 +196,15 @@ def moebius_inverted_coset_sum(q: int) -> tuple[float, float]:
     lhs = sum of exponents over the unit-coset representatives of q;
     rhs = (1/card(S_q)) * sum over divisors d > 1 of mu(q/d) (d-1) g(d).
     """
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be odd and >= 3, got {q}")
-    dec = coset_decomposition(q)
-    lhs = math.fsum(_coset_means(dec))
-    rhs = math.fsum(
-        moebius(q // d) * (d - 1) * g_closed_form(d)
-        for d in divisors(q)
-        if d != 1
-    ) / dec.order_of_two
-    return lhs, rhs
+    return _moebius_pair(q, {q: _coset_sum(q)})
+
+
+def coset_identities(q_max: int) -> Iterator[tuple[int, tuple[float, float], tuple[float, float]]]:
+    """(q, coset-sum pair, Moebius pair) for odd 3 <= q <= q_max, decomposing each q once."""
+    sums: dict[int, tuple[int, float]] = {}
+    for q in range(3, q_max + 1, 2):
+        sums[q] = _coset_sum(q)     # every divisor d > 1 of q is odd and <= q, so in sums
+        yield q, _coset_sum_pair(q, sums), _moebius_pair(q, sums)
 
 
 def _positive_rows(q: int) -> list[tuple[int, int, float]]:

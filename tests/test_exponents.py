@@ -10,6 +10,7 @@ from tmscaling.exponents import (
     TABLE_CSV_HEADER,
     beta_rational,
     check_coset_sum_identity,
+    coset_identities,
     enumerate_positive_exponents,
     figure_csv_lines,
     figure_data,
@@ -18,10 +19,10 @@ from tmscaling.exponents import (
     orbit_log_mean,
     table_csv_lines,
 )
-from tmscaling import exponents, numtheory
+from tmscaling import cli, exponents, numtheory
 from tmscaling.numtheory import coset_decomposition, doubling_orbit, mult_order_of_two
 from tmscaling.riesz import log_factor_from_half_dist, running_exponent
-from tmscaling.wavenumber import WaveNumber
+from tmscaling.wavenumber import WaveNumber, as_wave_number
 
 from conftest import is_prime
 from reference_table import POSITIVE_EXPONENTS_BELOW_1000
@@ -66,6 +67,13 @@ class TestWaveNumberCanonicalisation:
             WaveNumber(m=3, r=0, q=9)  # gcd(m, q) > 1
         with pytest.raises(ValueError):
             WaveNumber(m=1, r=0, q=4)  # even q
+
+    @given(num=st.integers(-10 ** 6, 10 ** 6), den=st.integers(1, 10 ** 6),
+           r=st.integers(0, 70))
+    def test_str_parse_round_trip(self, num, den, r):
+        wn = as_wave_number(Fraction(num, den << r))
+        assert WaveNumber.parse(str(wn)) == wn
+        assert as_wave_number((num, den << r)) == wn
 
 
 class TestBetaRational:
@@ -227,6 +235,20 @@ class TestIdentities:
         lhs, rhs = moebius_inverted_coset_sum(q)
         assert abs(lhs - rhs) <= 1e-11
 
+    def test_reject_even_or_small_q(self):
+        for bad in (1, 2, 4, 0, -3):
+            with pytest.raises(ValueError):
+                check_coset_sum_identity(bad)
+            with pytest.raises(ValueError):
+                moebius_inverted_coset_sum(bad)
+
+    def test_coset_identities_equal_the_per_q_checks(self):
+        rows = list(coset_identities(301))
+        assert [q for q, _, _ in rows] == list(range(3, 302, 2))
+        for q, coset_pair, moebius_pair in rows:
+            assert coset_pair == check_coset_sum_identity(q)
+            assert moebius_pair == moebius_inverted_coset_sum(q)
+
     def test_primitive_root_consistency_sample(self):
         for q in (3, 5, 11, 13, 19, 29, 37, 53, 59, 61, 67, 83, 101):
             assert is_prime(q) and mult_order_of_two(q) == q - 1
@@ -298,6 +320,25 @@ class TestOrbitWalks:
         moebius_inverted_coset_sum(q)
         assert walks == []
 
+    @pytest.fixture
+    def decompositions(self, monkeypatch):
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return coset_decomposition(q)
+
+        monkeypatch.setattr(exponents, "coset_decomposition", counted)
+        return calls
+
+    def test_identities_command_decomposes_each_divisor_once(self, decompositions, capsys):
+        argv = ["identities", "--qmax", "105", "--qsum-max", "10"]
+        assert cli.main(argv) == 0
+        assert decompositions == list(range(3, 106, 2))
+        # nothing is kept between calls: a second pass decomposes as often
+        assert cli.main(argv) == 0
+        assert decompositions == 2 * list(range(3, 106, 2))
+
 
 def scalar_orbit_mean(p: int, q: int) -> float:
     """The orbit average one residue at a time: the reference for the array kernel."""
@@ -334,6 +375,42 @@ class TestArrayKernel:
         assert exponents._coset_means(dec) == [
             scalar_orbit_mean(orbit[0], q) for orbit in dec.unit_orbits]
 
+    @given(q=st.integers(1, 2000).map(lambda i: 2 * i + 1))
+    def test_coset_means_equal_per_orbit_means_for_any_q(self, q):
+        dec = coset_decomposition(q)
+        assert exponents._coset_means(dec) == [
+            scalar_orbit_mean(orbit[0], q) for orbit in dec.unit_orbits]
+
+    @pytest.fixture
+    def terms(self, monkeypatch):
+        """Number of residues passed to libm, per ``_log_terms`` call."""
+        sizes = []
+        log_terms = exponents._log_terms
+
+        def counted(residues, q):
+            sizes.append(len(residues))
+            return log_terms(residues, q)
+
+        monkeypatch.setattr(exponents, "_log_terms", counted)
+        return sizes
+
+    # -1 lies in S_q for 9 = 2**3 + 1, 2**53 + 1 and 2**64 + 1 (the last two on
+    # the object-array path), not for 7: S_7 = {1, 2, 4}
+    @pytest.mark.parametrize("q, mirrored", [(7, False), (9, True),
+                                             (2**53 + 1, True), (2**64 + 1, True)])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_mirrored_orbits_take_half_the_terms(self, terms, q, mirrored, p):
+        orbit = doubling_orbit(p, q)
+        assert ((q - p) % q in orbit) == mirrored
+        assert orbit_log_mean(p, q) == scalar_orbit_mean(p, q)
+        assert terms == [len(orbit) // 2 if mirrored else len(orbit)]
+
+    @pytest.mark.parametrize("q", [7, 9, 15, 341])
+    def test_coset_means_take_one_term_per_half_distance(self, terms, q):
+        exponents._coset_means(coset_decomposition(q))
+        units = [n for n in range(1, q) if math.gcd(n, q) == 1]
+        assert terms == [len(units) // 2]
+
 
 class TestFigureData:
     def test_q3_row(self):
@@ -354,6 +431,24 @@ class TestFigureData:
         for r in range(5, 11):
             assert rows[2 ** r - 1] < -0.5
 
+    def test_matches_closed_form_exactly_when_plus_minus_two_generate_the_units(self):
+        # beta(1/q) averages the terms over S_q, and term(n) = term(q - n), so
+        # it is the average over <2, -1>; g(q) is the average over all
+        # 0 < n < q, which are the units only for prime q
+        def plus_minus_powers(q):
+            found, x = set(), 1
+            while not found or x != 1:
+                found |= {x, q - x}
+                x = 2 * x % q
+            return found
+
+        matches = [q for q, beta, g in figure_data(5000) if abs(beta - g) <= 1e-12]
+        assert matches == [q for q in range(3, 5000, 2)
+                           if is_prime(q) and len(plus_minus_powers(q)) == q - 1]
+        assert len(matches) == 383
+        # 7 and 23: 2 is not a primitive root, but -2 is
+        assert {7, 23, 47, 71} <= set(matches)
+
     def test_csv_emitters(self):
         lines = figure_csv_lines(figure_data(8))
         assert lines[0] == FIGURE_CSV_HEADER
@@ -361,3 +456,44 @@ class TestFigureData:
         table_lines = table_csv_lines(enumerate_positive_exponents(20))
         assert table_lines[0] == TABLE_CSV_HEADER
         assert table_lines[1] == "17,3,0.266441"
+
+
+class TestSignCertificate:
+    """A row enters the table when its double-precision mean is > 0; certify the signs.
+
+    A priori error bound, for odd q < 2**53, u = 2**-53, and libm sin and
+    log2 within one ulp (relative error 2u).  A term is t = 1 + 2 L with
+    L = log2 sin(a), a = pi m/q, 0 < m <= q/2:
+    - m/q, fl(pi) and their product each round once: a is off by <= 3.01u
+      relative, and since a cot(a) <= 1 on (0, pi/2] so is sin(a); libm adds
+      2u, so log2 sees sin(a)(1 + eta) with |eta| <= 5.01u, which moves L by
+      <= 7.3u; libm log2 adds 2u |L|;
+    - 2 L is exact and 1 + 2 L rounds once: |t' - t| <= 14.6u + 4u |L| + u |t'|.
+    sin(a) >= 2m/q >= 2/q gives |L| <= log2(q) and |t| <= 2 log2(q), so each
+    term is off by <= u (15 + 7 log2 q).  The fsum of the terms and the
+    division by the orbit length round once each, relative u, on a mean of
+    size <= 2 log2(q): the mean is off by at most u (16 + 12 log2 q).
+    """
+
+    #: the unit cosets with q < 10**4 whose means lie closest to 0
+    NEAR_ZERO = {(1285, 129): -1.73e-4, (5461, 537): -3.99e-4, (4097, 411): 8.14e-4}
+
+    @staticmethod
+    def bound(q: int) -> float:
+        return 2.0 ** -53 * (16.0 + 12.0 * math.log2(q))
+
+    def test_margins_dwarf_the_rounding_bound(self):
+        mpmath = pytest.importorskip("mpmath")
+        rows = [(q, p) for q, p, _ in POSITIVE_EXPONENTS_BELOW_1000] + list(self.NEAR_ZERO)
+        assert len(rows) == 102 + 3
+        with mpmath.workdps(40):
+            for q, p in rows:
+                orbit = doubling_orbit(p, q)
+                exact = mpmath.fsum(2 * mpmath.log(mpmath.sin(mpmath.pi * n / q), 2) + 1
+                                    for n in orbit) / len(orbit)
+                value = orbit_log_mean(p, q)
+                assert abs(value - exact) <= self.bound(q), (q, p)
+                assert abs(exact) > 1e6 * self.bound(q), (q, p)
+                assert (value > 0.0) == (exact > 0), (q, p)
+        for (q, p), rounded in self.NEAR_ZERO.items():
+            assert orbit_log_mean(p, q) == pytest.approx(rounded, abs=5e-7), (q, p)
