@@ -106,14 +106,15 @@ def _parse_trace_target(text: str):
 
 
 def _cmd_exponent(args, inv: str) -> int:
-    wn = WaveNumber.parse(args.k)
-    if args.r:
-        wn = wn.with_extra_dyadic_power(args.r)
+    wn = WaveNumber.parse(args.k).with_extra_dyadic_power(args.r)
+    try:
+        canonical = f"{wn} = {wn.m}/(2^{wn.r} * {wn.q})"
+    except ValueError:      # an integer longer than sys.get_int_max_str_digits()
+        raise ValueError(f"--k {args.k} --r {args.r}: k has too many digits to print") from None
     try:
         result = exponents.beta_rational(wn)
     except ValueError as exc:   # the orbit is longer than the budget
         raise ValueError(f"--k {args.k}: {exc}") from None
-    canonical = f"{wn} = {wn.m}/(2^{wn.r} * {wn.q})"
     if args.format == "json":
         payload = {"invocation": inv, "k": str(wn), "m": wn.m, "r": wn.r, "q": wn.q}
         payload.update(result.to_json_dict(args.digits))
@@ -142,7 +143,7 @@ def _cmd_exponent(args, inv: str) -> int:
         lines.append(f"representative = {d['representative']}")
         orbit = d["orbit"]
         lines.append("orbit = " + " ".join(
-            " ".join(map(str, orbit[i:i + _ORBIT_SLICE]))
+            str(orbit[i:i + _ORBIT_SLICE].tolist())[1:-1].replace(",", "")
             for i in range(0, len(orbit), _ORBIT_SLICE)))
         if wn.r:
             lines.append(f"note = dyadic prefactor 2^{wn.r} ignored in the limit")
@@ -202,8 +203,8 @@ def _cmd_riesz_trace(args, inv: str) -> int:
     levels = range(args.every, args.nmax + 1, args.every)
     try:
         tr = riesz.trace(target, args.nmax, sample_levels=levels)
-    except ValueError as exc:   # a rational's levels need more than the orbit budget
-        raise ValueError(f"--k {args.k} --nmax {args.nmax}: {exc}") from None
+    except ValueError as exc:   # more levels than the orbit or the sample budget
+        raise ValueError(f"--k {args.k} --nmax {args.nmax} --every {args.every}: {exc}") from None
     if args.format == "json":
         payload = {"invocation": inv}
         payload.update(tr.to_json_dict(args.digits))
@@ -385,8 +386,8 @@ def _add_output_options(sub, default_format="plain", digits=True):
     sub.add_argument("--format", choices=["csv", "json", "plain"],
                      default=default_format, help="output format")
     if digits:
-        sub.add_argument("--digits", type=_POSITIVE, default=6,
-                         help="significant digits for printed numbers")
+        sub.add_argument("--digits", type=_bounded_int(1, 17), default=6,
+                         help="significant digits for printed numbers (17 print any double)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("exponent", help="exponent of a rational wave number")
     p.add_argument("--k", required=True, help="rational wave number, e.g. 3/17")
-    p.add_argument("--r", type=_NON_NEGATIVE, default=0,
+    p.add_argument("--r", type=_bounded_int(0, 10_000), default=0,
                    help="extra dyadic power: evaluate k / 2**r")
     _add_output_options(p)
     p.set_defaults(func=_cmd_exponent)

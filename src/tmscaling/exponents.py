@@ -17,11 +17,12 @@ defect directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
 
+from . import riesz
 from .numtheory import (
     OrbitDecomposition,
     coset_decomposition,
@@ -34,6 +35,8 @@ from .wavenumber import RationalLike, as_wave_number
 
 #: desk-scale guard for the enumeration bounds
 MAX_ENUMERATION_BOUND = 10_000
+#: cosets whose numpy mean is <= -_SCREEN_MARGIN skip libm; for q < 10**4 the two differ < 3e-15
+_SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,8 @@ class ExponentResult:
         out: dict = {"kind": self.kind, "method": self.method}
         if self.value is not None:
             out["value"] = json_number(self.value, digits)
-        out["diagnostics"] = self.diagnostics
+        out["diagnostics"] = {key: value.tolist() if key == "orbit" else value
+                              for key, value in self.diagnostics.items()}
         return out
 
 
@@ -71,19 +75,19 @@ def _log_terms(residues, q: int) -> np.ndarray:
     of ``riesz``: n and q - n give the same bits, so callers pass each
     half-distance once.  numpy does only exactly rounded IEEE steps (minimum,
     subtraction, division, products, 1 + 2x); sin and log2 are mapped as
-    ``math.sin`` and ``math.log2`` (libm), because numpy's own sin and log2
-    may differ from libm in the last bit, depending on the numpy build and
-    the CPU.  Residues are int64 below 2**53, where their float64 values are
-    exact and numpy's division rounds like Python's int / int; larger moduli
-    keep Python ints in an object array.
+    ``math.sin`` and ``math.log2`` (libm): numpy's own may differ from libm
+    in the last bit, by numpy build and CPU, so they only screen cosets in
+    ``_positive_rows``.  Residues are int64 below 2**53, where their float64
+    values are exact and numpy's division rounds like Python's int / int;
+    larger moduli keep Python ints in an object array.
     """
-    n = np.array(residues, dtype=np.int64 if q < 2**53 else object)
+    n = np.asarray(residues, dtype=np.int64 if q < 2**53 else object)
     angle = np.pi * (np.minimum(n, q - n) / q)
     logs = map(math.log2, map(math.sin, angle.ravel().tolist()))
     return 1.0 + 2.0 * np.fromiter(logs, float, angle.size).reshape(angle.shape)
 
 
-def _orbit_mean(orbit: list[int], q: int) -> float:
+def _orbit_mean(orbit: np.ndarray, q: int) -> float:
     """Average of log2(1 - cos(2 pi n/q)) over the residues n of an orbit.
 
     If -1 is in S_q, orbit[k//2 + i] == q - orbit[i] repeats the terms of the
@@ -134,9 +138,9 @@ def beta_rational(k: RationalLike) -> ExponentResult:
         )
     orbit = doubling_orbit(wn.m % wn.q, wn.q)
     value = _orbit_mean(orbit, wn.q)
-    representative = min(orbit)
+    representative = int(orbit.min())
     # min(n, q - n) is smallest at the smallest or at the largest residue
-    min_half = min(representative, wn.q - max(orbit)) / wn.q
+    min_half = min(representative, wn.q - int(orbit.max())) / wn.q
     return ExponentResult(
         kind=ExponentResult.VALUE,
         value=value,
@@ -207,8 +211,18 @@ def coset_identities(q_max: int) -> Iterator[tuple[int, tuple[float, float], tup
         yield q, _coset_sum_pair(q, sums), _moebius_pair(q, sums)
 
 
+def _screen_means(dec: OrbitDecomposition) -> np.ndarray:
+    """``_coset_means`` estimated with numpy's sin and log2: it screens, it is never printed."""
+    half = np.minimum(dec.unit_orbits, dec.q - dec.unit_orbits)
+    return riesz.log_factors(half / dec.q).mean(axis=1)
+
+
 def _positive_rows(q: int) -> list[tuple[int, int, float]]:
     dec = coset_decomposition(q)
+    kept = _screen_means(dec) > -_SCREEN_MARGIN
+    if not kept.any():
+        return []
+    dec = replace(dec, unit_orbits=dec.unit_orbits[kept])
     return [(q, p, value)
             for p, value in zip(dec.unit_representatives, _coset_means(dec))
             if value > 0.0]

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 #: longest doubling orbit that ``doubling_orbit``, ``mult_order_of_two`` and the
-#: exact level ladder walk; as a list of Python ints an orbit this long takes about 150 MB
+#: exact level ladder walk; an orbit this long takes 32 MB as int64, about 150 MB as Python ints
 MAX_ORBIT_LENGTH = 2**22
 #: residues per slice of a block-doubling step, which bounds object-array temporaries
 _STEP = 1 << 16
+#: residues walked one at a time before block doubling, so short orbits skip numpy
+_HEAD = 64
 
 
 def _require_odd_modulus(q: int) -> None:
@@ -66,15 +68,21 @@ def moebius(n: int) -> int:
 def _doubling_cycle(p: int, q: int, limit: int) -> np.ndarray:
     """p, 2p, 4p, ... (mod q) until the cycle closes, at most ``limit`` residues.
 
-    Block doubling: the next block is the cycle so far times 2**len (mod q),
-    taken in slices of at most _STEP residues.  Residues are int64 below
-    2**31, where products stay below 2**62, and Python ints in an object
-    array above.  Rather than hold more than MAX_ORBIT_LENGTH residues of a
-    cycle that has not closed, raises ValueError.
+    The first _HEAD residues, one doubling at a time; then block doubling:
+    the next block is the cycle so far times 2**len (mod q), in slices of at
+    most _STEP residues.  Residues are int64 below 2**31, where products stay
+    below 2**62, and Python ints in an object array above.  Rather than hold
+    more than MAX_ORBIT_LENGTH residues of an open cycle, raises ValueError.
     """
     start = int(p % q)
     limit = min(limit, MAX_ORBIT_LENGTH + 1)
-    cycle = np.array([start], dtype=np.int64 if q < 2**31 else object)
+    head, x, stop = [start], 2 * start % q, min(limit, _HEAD)
+    while x != start and len(head) < stop:
+        head.append(x)
+        x = 2 * x % q
+    cycle = np.array(head, dtype=np.int64 if q < 2**31 else object)
+    if x == start:
+        return cycle
     while len(cycle) < limit:
         n = len(cycle)
         factor = pow(2, n, q)
@@ -86,10 +94,10 @@ def _doubling_cycle(p: int, q: int, limit: int) -> np.ndarray:
             closed = np.flatnonzero(block == start)
             if closed.size:
                 return grown[:i + closed[0]]
-        if len(grown) > MAX_ORBIT_LENGTH:
-            raise ValueError(f"the doubling orbit of {start} mod {q} is longer than "
-                             f"the budget of MAX_ORBIT_LENGTH = {MAX_ORBIT_LENGTH} residues")
         cycle = grown
+    if len(cycle) > MAX_ORBIT_LENGTH:
+        raise ValueError(f"the doubling orbit of {start} mod {q} is longer than "
+                         f"the budget of MAX_ORBIT_LENGTH = {MAX_ORBIT_LENGTH} residues")
     return cycle
 
 
@@ -103,18 +111,19 @@ def mult_order_of_two(q: int) -> int:
     return len(_doubling_cycle(1, q, q))
 
 
-def doubling_orbit(p: int, q: int) -> list[int]:
-    """Cycle of p under n -> 2n (mod q), listed in orbit order from p.
+def doubling_orbit(p: int, q: int) -> np.ndarray:
+    """Cycle of p under n -> 2n (mod q), in orbit order from p, as an array.
 
     Doubling is a bijection on Z/qZ for odd q, so every residue lies on a
     pure cycle.  The orbit of a unit p is the coset p*S_q; for
     gcd(p, q) = d > 1 it is d times the orbit of p/d modulo q/d.  Raises
-    ValueError once the orbit passes MAX_ORBIT_LENGTH residues.
+    ValueError once the orbit passes MAX_ORBIT_LENGTH residues.  The array
+    is int64 below q = 2**31 and an object array of Python ints above.
     """
     _require_odd_modulus(q)
     if p % q == 0:
         raise ValueError(f"p must not be divisible by q (p={p}, q={q})")
-    return _doubling_cycle(p, q, q).tolist()
+    return _doubling_cycle(p, q, q)
 
 
 @dataclass(frozen=True)

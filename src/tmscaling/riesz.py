@@ -24,6 +24,7 @@ with the fields ``level``, ``log2_f`` and ``running_exponent``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,8 @@ from .wavenumber import WINDOW, WaveNumberLike, as_wave_number, frac_levels
 
 LOG2 = math.log(2.0)
 _NEG_INF = float("-inf")
+#: most levels one trace records; 24 bytes each, so the samples stay under 100 MB
+MAX_TRACE_SAMPLES = 2**22
 
 
 def log_factor_from_half_dist(half_dist: float) -> float:
@@ -133,25 +136,28 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
     """Build a RieszTrace up to level ``n_max``.
 
     ``sample_levels`` restricts which levels are recorded (default: all of
-    1 .. n_max) and must name at least one; the accumulation itself always
-    walks every level, holding one block of running sums at a time.
+    1 .. n_max) and must name 1 to MAX_TRACE_SAMPLES, checked before they are
+    stored; the accumulation itself always walks every level, holding one
+    block of running sums at a time.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if sample_levels is None:
-        levels = np.arange(1, n_max + 1, dtype=np.int64)
-    else:
-        try:
-            levels = np.sort(np.fromiter(sample_levels, np.int64))
-        except OverflowError:
-            raise ValueError(f"sample levels outside 1..{n_max}: one exceeds int64") from None
-        if not levels.size:
-            raise ValueError("sample_levels is empty, so no level would be recorded")
-        # np.unique hashes; dropping repeats from the sorted array is faster
-        levels = levels[np.concatenate(([True], np.diff(levels) > 0))]
-        bad = levels[(levels < 1) | (levels > n_max)]
-        if bad.size:
-            raise ValueError(f"sample levels outside 1..{n_max}: {bad.tolist()}")
+        sample_levels = range(1, n_max + 1)
+    try:
+        levels = np.fromiter(itertools.islice(sample_levels, MAX_TRACE_SAMPLES + 1), np.int64)
+    except OverflowError:
+        raise ValueError(f"sample levels outside 1..{n_max}: one exceeds int64") from None
+    if levels.size > MAX_TRACE_SAMPLES:
+        raise ValueError(f"more levels than MAX_TRACE_SAMPLES = {MAX_TRACE_SAMPLES} to record")
+    if not levels.size:
+        raise ValueError("sample_levels is empty, so no level would be recorded")
+    # np.unique hashes; dropping repeats from the sorted array is faster
+    levels = np.sort(levels)
+    levels = levels[np.concatenate(([True], np.diff(levels) > 0))]
+    bad = levels[(levels < 1) | (levels > n_max)]
+    if bad.size:
+        raise ValueError(f"sample levels outside 1..{n_max}: {bad.tolist()}")
 
     label = k.label() if isinstance(k, DigitStream) else str(as_wave_number(k))
     log2_f = np.empty(len(levels))

@@ -4,11 +4,14 @@ import shlex
 import subprocess
 import sys
 
+from unittest import mock
+
 import pytest
 
-from tmscaling import cli, numtheory
+from tmscaling import cli, exponents, numtheory, riesz
 from tmscaling.cli import main
 from tmscaling.numtheory import doubling_orbit
+from tmscaling.wavenumber import WaveNumber
 
 
 @pytest.fixture
@@ -264,6 +267,32 @@ class TestTraceGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestExactGoldenOutput:
+    """Whole stdout of exact-orbit commands, pinned by sha256.
+
+    The digests were taken while ``doubling_orbit`` still returned a list
+    and the orbit line joined ``str`` of each residue.  The last two orbits
+    have moduli above 2**31, whose residues are Python ints.
+    """
+
+    @pytest.mark.parametrize("argv,digest", [
+        ("figure --qmax 5000",
+         "1df638b66637a332784c44c65fe7ef554609bd944fd1db8eafe94eb7ab8b16ad"),
+        ("exponent --k 1/1000003",
+         "a6346d815071111f2da0a7cf2f11ab3a3fd398da1b1b71a370336ff3aa42020e"),
+        ("exponent --k 1/1000003 --format json",
+         "c64b1415b0abbf8039abf7e3ead784992ad6d5626a8ca8b64e9696546e1dc243"),
+        ("exponent --k 1/2147483649",
+         "ba0ea5d835404451f6499aa050341d09e918b5a18e972724ee20bfb4484f8eac"),
+        ("exponent --k 3/2305843009213693951 --format json",
+         "fad0bd06e10aebaad5b5592086f72f5833e3b52c8f83eb92f3982122ae0fedfd"),
+    ])
+    def test_stdout_digest(self, run_cli, argv, digest):
+        code, out, err = run_cli(*shlex.split(argv))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestArgumentValidation:
     @pytest.mark.parametrize("argv,flag", [
         (("riesz-trace", "--k", "1/3", "--every", "0"), "--every"),
@@ -325,6 +354,59 @@ class TestArgumentValidation:
         assert code == 2
         assert out == ""
         assert f"invalid stream spec {spec!r}" in err
+
+
+class TestInputBudgets:
+    """Values that would exhaust memory or Python's int-to-str limit exit 2, naming the flag."""
+
+    @pytest.mark.parametrize("r", ["100000000000", "20000"])
+    def test_r_above_the_bound_exits_2_before_any_shift(self, run_cli, monkeypatch, r):
+        monkeypatch.setattr(WaveNumber, "with_extra_dyadic_power", mock.Mock(
+            side_effect=AssertionError("shifted")))
+        code, out, err = run_cli("exponent", "--k", "1/3", "--r", r)
+        assert code == 2 and out == ""
+        assert "argument --r: must be <= 10000" in err
+
+    def test_r_at_the_bound_prints_k(self, run_cli):
+        code, out, _ = run_cli("exponent", "--k", "1/3", "--r", "10000")
+        assert code == 0
+        assert "= 1/(2^10000 * 3)" in out
+
+    @pytest.fixture
+    def int_str_limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    def test_k_too_long_to_print_exits_2_naming_k_and_r(self, run_cli, int_str_limit):
+        # 2**10000 * q has 3011 + 1300 digits, past the 4300-digit limit
+        k = f"1/{10**1299 + 1}"
+        code, out, err = run_cli("exponent", "--k", k, "--r", "10000")
+        assert code == 2 and out == ""
+        assert f"--k {k} --r 10000: k has too many digits to print" in err
+        assert "Exceeds the limit" not in err
+
+    def test_trace_samples_above_the_budget_exit_2_naming_nmax_and_every(self, run_cli,
+                                                                          monkeypatch):
+        monkeypatch.setattr(riesz, "MAX_TRACE_SAMPLES", 100)
+        code, out, err = run_cli("riesz-trace", "--k", "1/3", "--nmax", "100000000000000")
+        assert code == 2 and out == ""
+        assert "--nmax 100000000000000 --every 1: " in err
+        assert "MAX_TRACE_SAMPLES = 100" in err
+        code, out, _ = run_cli("riesz-trace", "--k", "1/3", "--nmax", "1000", "--every", "10")
+        assert code == 0 and len(out.splitlines()) == 2 + 1 + 100
+        code, _, err = run_cli("riesz-trace", "--k", "1/3", "--nmax", "1000", "--every", "9")
+        assert code == 2 and "--nmax 1000 --every 9: " in err
+
+    def test_digits_above_17_exit_2(self, run_cli):
+        code, out, err = run_cli("exponent", "--k", "1/3", "--digits", "100000000000")
+        assert code == 2 and out == ""
+        assert "argument --digits: must be <= 17" in err
+        code, out, _ = run_cli("exponent", "--k", "1/3", "--digits", "17", "--format", "csv")
+        assert code == 0
+        beta = float(out.splitlines()[2].split(",")[2])
+        assert beta == exponents.beta_rational("1/3").value
 
 
 class TestIdentitiesCommand:

@@ -1,7 +1,9 @@
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -24,7 +26,7 @@ from tmscaling.numtheory import coset_decomposition, doubling_orbit, mult_order_
 from tmscaling.riesz import log_factor_from_half_dist, running_exponent
 from tmscaling.wavenumber import WaveNumber, as_wave_number
 
-from conftest import is_prime
+from conftest import euler_phi, is_prime
 from reference_table import POSITIVE_EXPONENTS_BELOW_1000
 
 LOG2_3_HALVES = math.log2(1.5)
@@ -348,6 +350,20 @@ def scalar_orbit_mean(p: int, q: int) -> float:
     ) / len(orbit)
 
 
+@pytest.fixture
+def terms(monkeypatch):
+    """Number of residues passed to libm, per ``_log_terms`` call."""
+    sizes = []
+    log_terms = exponents._log_terms
+
+    def counted(residues, q):
+        sizes.append(len(residues))
+        return log_terms(residues, q)
+
+    monkeypatch.setattr(exponents, "_log_terms", counted)
+    return sizes
+
+
 class TestArrayKernel:
     """The array pass is bit-equal to the scalar formula (compared with ==)."""
 
@@ -381,19 +397,6 @@ class TestArrayKernel:
         assert exponents._coset_means(dec) == [
             scalar_orbit_mean(orbit[0], q) for orbit in dec.unit_orbits]
 
-    @pytest.fixture
-    def terms(self, monkeypatch):
-        """Number of residues passed to libm, per ``_log_terms`` call."""
-        sizes = []
-        log_terms = exponents._log_terms
-
-        def counted(residues, q):
-            sizes.append(len(residues))
-            return log_terms(residues, q)
-
-        monkeypatch.setattr(exponents, "_log_terms", counted)
-        return sizes
-
     # -1 lies in S_q for 9 = 2**3 + 1, 2**53 + 1 and 2**64 + 1 (the last two on
     # the object-array path), not for 7: S_7 = {1, 2, 4}
     @pytest.mark.parametrize("q, mirrored", [(7, False), (9, True),
@@ -410,6 +413,66 @@ class TestArrayKernel:
         exponents._coset_means(coset_decomposition(q))
         units = [n for n in range(1, q) if math.gcd(n, q) == 1]
         assert terms == [len(units) // 2]
+
+
+class TestScreen:
+    """``table`` sends to libm only the cosets whose numpy estimate may be positive."""
+
+    def test_rows_equal_the_unscreened_positive_coset_means(self):
+        expected = []
+        for q in range(7, 1500, 2):
+            dec = coset_decomposition(q)
+            expected += [(q, p, value.hex())
+                         for p, value in zip(dec.unit_representatives, exponents._coset_means(dec))
+                         if value > 0.0]
+        got = [(q, p, value.hex()) for q, p, value in enumerate_positive_exponents(1500)]
+        assert got == expected
+
+    def test_estimates_are_far_closer_than_the_margin(self):
+        worst = 0.0
+        for q in range(3, 1500, 2):
+            dec = coset_decomposition(q)
+            screened = exponents._screen_means(dec)
+            worst = max(worst, np.max(np.abs(screened - exponents._coset_means(dec))))
+        assert worst < exponents._SCREEN_MARGIN / 1000
+
+    # TestSignCertificate.NEAR_ZERO: the cosets with q < 10**4 closest to 0
+    @pytest.mark.parametrize("q, p", [(1285, 129), (5461, 537), (4097, 411)])
+    def test_near_zero_cosets(self, q, p):
+        dec = coset_decomposition(q)
+        row = dec.unit_representatives.index(p)
+        exact = exponents._coset_means(dec)[row]
+        assert abs(exponents._screen_means(dec)[row] - exact) < exponents._SCREEN_MARGIN / 1000
+        listed = [(rep, value) for _, rep, value in exponents._positive_rows(q)]
+        assert ((p, exact) in listed) == (exact > 0.0) == (q == 4097)
+
+    def test_libm_takes_under_five_percent_of_the_unscreened_terms(self, terms):
+        enumerate_positive_exponents(1000)
+        # unscreened, each q sends one term per half-distance of its units
+        unscreened = sum(euler_phi(q) // 2 for q in range(7, 1000, 2))
+        assert sum(terms) < 0.05 * unscreened
+
+
+class TestOrbitArrays:
+    def test_json_dict_lists_the_orbit(self):
+        result = beta_rational("1/65539")
+        walk = [1]
+        while 2 * walk[-1] % 65539 != 1:
+            walk.append(2 * walk[-1] % 65539)
+        payload = json.loads(json.dumps(result.to_json_dict()))
+        assert payload["diagnostics"]["orbit"] == walk
+        assert payload["diagnostics"]["representative"] == 1
+        assert isinstance(result.diagnostics["orbit"], np.ndarray)
+
+    # int64 below 2**31, object arrays from 2**31 + 1 on (3 divides 2**31 + 1)
+    @pytest.mark.parametrize("p, q", [(3, 7), (1, 2**31 + 1), (3, 2**32 + 1), (3, 2**61 - 1)])
+    def test_diagnostics_match_the_list_walk(self, p, q):
+        d = beta_rational(Fraction(p, q)).diagnostics
+        assert d["q"] == q
+        walk = d["orbit"].tolist()
+        assert d["representative"] == min(walk)
+        assert type(d["representative"]) is int
+        assert d["min_half_dist"] == min(min(n, q - n) for n in walk) / q
 
 
 class TestFigureData:

@@ -2,6 +2,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,10 +82,19 @@ def test_mult_order_rejects_bad_modulus(bad):
 
 
 def test_doubling_orbit_examples():
-    assert doubling_orbit(1, 7) == [1, 2, 4]
-    assert doubling_orbit(3, 7) == [3, 6, 5]
+    assert doubling_orbit(1, 7).tolist() == [1, 2, 4]
+    assert doubling_orbit(3, 7).tolist() == [3, 6, 5]
     # gcd(3, 9) = 3: orbit shorter than the order of 2 mod 9
-    assert doubling_orbit(3, 9) == [3, 6]
+    assert doubling_orbit(3, 9).tolist() == [3, 6]
+
+
+@pytest.mark.parametrize("q, dtype", [(7, np.int64), (2**31 - 1, np.int64),
+                                      (2**31 + 1, object), (2**61 - 1, object)])
+def test_doubling_orbit_is_an_array_of_the_kernel_dtype(q, dtype):
+    # 2**n -/+ 1: the orbit of 1 is short on both sides of the dtype switch
+    orbit = doubling_orbit(1, q)
+    assert isinstance(orbit, np.ndarray) and orbit.dtype == dtype
+    assert orbit.tolist() == plain_cycle(1, q, q)
 
 
 def test_doubling_orbit_rejects_multiple_of_q():
@@ -155,7 +165,7 @@ def test_decomposition_invariants(q):
     for d in divisors(q)[1:-1]:
         for row in coset_decomposition(q // d).unit_orbits.tolist():
             orbit = [d * x for x in row]
-            assert orbit == doubling_orbit(orbit[0], q)
+            assert orbit == doubling_orbit(orbit[0], q).tolist()
             rest += orbit
     assert sorted(rest + units) == list(range(1, q))
 
@@ -169,7 +179,7 @@ def test_totient_sum_up_to_2000():
 def test_orbit_longer_than_the_budget_raises(monkeypatch):
     # the orbit of 1 mod 2**7 - 1 has 7 residues, that of 1 mod 2**8 + 1 has 16
     monkeypatch.setattr(numtheory, "MAX_ORBIT_LENGTH", 7)
-    assert doubling_orbit(1, 127) == [1, 2, 4, 8, 16, 32, 64]
+    assert doubling_orbit(1, 127).tolist() == [1, 2, 4, 8, 16, 32, 64]
     with pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 7"):
         doubling_orbit(1, 257)
     with pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 7"):
@@ -207,10 +217,11 @@ MODULI = st.one_of(st.integers(1, 2000).map(lambda i: 2 * i + 1), ODD,
 
 @settings(max_examples=300, deadline=None)
 @given(q=MODULI, shared=st.integers(0, 60).map(lambda i: 2 * i + 1),
-       p=st.integers(0, 2 ** 72), limit=st.integers(1, 300), step=st.integers(1, 9))
-def test_doubling_cycle_is_the_plain_walk(q, shared, p, limit, step):
+       p=st.integers(0, 2 ** 72), limit=st.integers(1, 300), step=st.integers(1, 9),
+       head=st.integers(1, 80))
+def test_doubling_cycle_is_the_plain_walk(q, shared, p, limit, step, head):
     # shared * q stays below 2**70; p * shared has gcd >= shared with it
     q, p = q * shared, p * shared
-    with mock.patch.object(numtheory, "_STEP", step):
+    with mock.patch.object(numtheory, "_STEP", step), mock.patch.object(numtheory, "_HEAD", head):
         got = numtheory._doubling_cycle(p, q, limit)
     assert got.tolist() == plain_cycle(p, q, limit)

@@ -1,12 +1,15 @@
+import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tmscaling import riesz
 from tmscaling.riesz import (
     RieszTrace,
     check_log_integral,
@@ -181,6 +184,15 @@ class TestTrace:
     def test_empty_sample_levels_raises(self):
         with pytest.raises(ValueError, match="sample_levels"):
             trace(Fraction(1, 3), 10, sample_levels=[])
+
+    def test_samples_above_the_budget_raise_before_any_level(self, monkeypatch):
+        # an unbounded iterable is read no further than one past the budget
+        monkeypatch.setattr(riesz, "MAX_TRACE_SAMPLES", 100)
+        assert len(trace(Fraction(1, 3), 100).samples) == 100
+        monkeypatch.setattr(riesz, "frac_levels", mock.Mock(side_effect=AssertionError))
+        for levels in (None, range(1, 10**14), itertools.count(1)):
+            with pytest.raises(ValueError, match="MAX_TRACE_SAMPLES = 100"):
+                trace(Fraction(1, 3), 10**14, sample_levels=levels)
 
     def test_samples_are_columns(self):
         tr = trace(Fraction(1, 9), 12, sample_levels=[3, 6, 12])
