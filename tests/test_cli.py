@@ -60,12 +60,6 @@ class TestExponentCommand:
         assert payload["kind"] == "value"
         assert abs(payload["value"] - 0.584963) < 1e-6
 
-    def test_json_written_in_batches_is_json_dumps(self, run_cli, monkeypatch):
-        monkeypatch.setattr(cli, "_ORBIT_SLICE", 3)
-        code, out, _ = run_cli("exponent", "--k", "3/17", "--format", "json")
-        assert code == 0
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
-
     def test_bad_rational_exits_2(self, run_cli):
         code, _, err = run_cli("exponent", "--k", "abc")
         assert code == 2
@@ -90,6 +84,27 @@ class TestExponentCommand:
         assert out == ""
         assert "--k 1/1000003" in err
         assert "MAX_ORBIT_LENGTH = 100" in err
+
+
+class TestJsonWriter:
+    """Every verb's json goes through one writer that emits encoder chunks in batches."""
+
+    @pytest.mark.parametrize("argv", [
+        "exponent --k 3/17",
+        "gfun --q 15",
+        "table --qmax 60",
+        "figure --qmax 30",
+        "riesz-trace --k 1/9 --nmax 40",
+        "weyl --stream random:1 --samples 300",
+        "perturb --k 1/5 --nmax 90",
+        "mix --a rational:1/3 --b random:4 --nmax 200",
+        "identities --qsum-max 30 --qmax 25",
+    ])
+    def test_json_written_in_batches_is_json_dumps(self, run_cli, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_ORBIT_SLICE", 3)
+        code, out, _ = run_cli(*shlex.split(argv), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestGfunCommand:
@@ -229,12 +244,14 @@ class TestPerturbAndMix:
 class TestTraceGoldenOutput:
     """Whole stdout of small trace commands, pinned by sha256.
 
-    The digests were taken from the per-sample formatting that preceded
-    the columnar trace (one ``format_float`` call per value), so they pin
-    every byte of the CSV and JSON renderings.  The last three pin the
-    labels and descriptions of flipped and block-mixed streams; they were
-    taken while ``flipped`` still took any container of positions and
-    ``block_mixed`` an explicit schedule.
+    The first eleven digests were taken from the per-sample formatting
+    that preceded the columnar trace (one ``format_float`` call per value),
+    so they pin every byte of the CSV and JSON renderings.  The last three
+    of those pin the labels and descriptions of flipped and block-mixed
+    streams; they were taken while ``flipped`` still took any container of
+    positions and ``block_mixed`` an explicit schedule.  The rest pin every
+    other format of these verbs, at the default ``--digits`` and at 12,
+    before the verbs stopped writing their own output.
     """
 
     @pytest.mark.parametrize("argv,digest", [
@@ -260,6 +277,26 @@ class TestTraceGoldenOutput:
          "cc97a2d110728a8c3bc6968477a5944be7731f661928fd75f9523774a12829c3"),
         ("mix --a flipped:1/5:0 --b random:9 --growth 2 --nmax 70000 --format json",
          "68dc44e025051810c10dcbda34b26f3167df46359a562b77806ab3140bd16a61"),
+        ("weyl --stream random:4 --samples 3000",
+         "77ae5a81ad384e9558a7dd376a89dc76a283bd5e027626ea7c3752fbb5db0142"),
+        ("weyl --stream random:4 --samples 3000 --format csv",
+         "9523fa4f1ce4d22c4264311e0e9569d9118c6e4d53c2a0b395b2ea75f0b819d1"),
+        ("weyl --stream rational:3/11 --samples 2000 --harmonics 3 --digits 12",
+         "75a6fbe67bfa2eac2543208b8730e12b606f5294192f556f4d7ec28fe826270b"),
+        ("weyl --stream rational:3/11 --samples 2000 --harmonics 3 --format csv --digits 12",
+         "f91d2d6363a905076e90faf1b12e467cac037f02d8e9f55cd9409de6c64686e0"),
+        ("riesz-trace --k 1/9 --nmax 200 --format plain",
+         "58b548f4f5e1bfae2d937e07190efecf891686ddd2eea3cae037a7183c9b4e16"),
+        ("riesz-trace --k random:2 --nmax 500 --every 3 --format plain --digits 12",
+         "7c7f26b28508b408a08185cdfb3dbbc54df954b369549893ce8f91234f6e5889"),
+        ("perturb --k 1/3 --nmax 5000 --format plain",
+         "b3c677a75962c55ddc0790313bff4ad5fbeab2da162378d598a943d88d1744b1"),
+        ("perturb --k 1/7 --nmax 3000 --flip-start 2 --format plain --digits 12",
+         "4339e590f80b3da0039ee0ca3d9da440c8ee9197d05fdb12b15766481e82b4b4"),
+        ("mix --a rational:1/3 --b random:7 --nmax 5000 --format plain",
+         "0f8090b2bc33442172f3f5609459362133cbfac1cffdf6a00284427ebe3ed8b1"),
+        ("mix --a random:1 --b flipped:1/5:1 --growth 3 --nmax 4000 --format plain --digits 12",
+         "eab5b2131beb36f3213da073ec184dcc96a3808bd773b39ad6d978eb966872da"),
     ])
     def test_stdout_digest(self, run_cli, argv, digest):
         code, out, err = run_cli(*shlex.split(argv))
@@ -270,9 +307,12 @@ class TestTraceGoldenOutput:
 class TestExactGoldenOutput:
     """Whole stdout of exact-orbit commands, pinned by sha256.
 
-    The digests were taken while ``doubling_orbit`` still returned a list
-    and the orbit line joined ``str`` of each residue.  The last two orbits
-    have moduli above 2**31, whose residues are Python ints.
+    The first five digests were taken while ``doubling_orbit`` still
+    returned a list and the orbit line joined ``str`` of each residue; the
+    last two of those orbits have moduli above 2**31, whose residues are
+    Python ints.  The rest pin every other format of these verbs, at the
+    default ``--digits`` and at 12, before the verbs stopped writing their
+    own output.  The ``--tol 1e-30`` identity checks fail, so they exit 3.
     """
 
     @pytest.mark.parametrize("argv,digest", [
@@ -286,10 +326,66 @@ class TestExactGoldenOutput:
          "ba0ea5d835404451f6499aa050341d09e918b5a18e972724ee20bfb4484f8eac"),
         ("exponent --k 3/2305843009213693951 --format json",
          "fad0bd06e10aebaad5b5592086f72f5833e3b52c8f83eb92f3982122ae0fedfd"),
+        ("gfun --q 15",
+         "8a885718338f60a9d366ef0c880c28848fbce964e615eed6389a02dd85478447"),
+        ("gfun --q 15 --format csv",
+         "fee220a724e34df3c97a06a6536040263a64e3cd35c69daabe20ba93039bb91f"),
+        ("gfun --q 15 --format json",
+         "707742e738967c82f29f6069f01b208f9f4a8966d38448238419275377d1d818"),
+        ("gfun --q 1001 --digits 12",
+         "7a33ed193dc324deb27f5d1eb8275e2919d2fd7aaba67d918065310354a41ced"),
+        ("gfun --q 1001 --format csv --digits 12",
+         "8c5ac079e144082dc14ea6e6a3947b6663cf0e25567d62ed60daf2eca4dd3bb0"),
+        ("gfun --q 1001 --format json --digits 12",
+         "67d8d4fd83dbd12c7ebcaf978179794f0ca8d964546635bf0379754024ddd1ce"),
+        ("table --qmax 200 --format plain",
+         "b4aedd74b494eebed99293bb56147dbba1600c4d0e1be271ea18e8dc4fe8da80"),
+        ("table --qmax 200 --format json",
+         "33c2189f91a07e0360096cd62994a69aeeb24a8daef9fb2d4be67a680903e5bd"),
+        ("table --qmax 200 --format plain --digits 12",
+         "c2d48ca133ebee8fe226f21930af70cbc077b4841b857bdeb0c83592e5b359a3"),
+        ("table --qmax 200 --format json --digits 12",
+         "c7c6ba71761dc92e2d2eee22655133822c1c33b4fe7a810ddbc0f1cb3fce966f"),
+        ("figure --qmax 200 --format plain",
+         "a018489c0d63215bc2a922fc4433374dd02acd0c45ee873ac5dcba2fb2f4644a"),
+        ("figure --qmax 200 --format json",
+         "4a31c3b6bf866eac5ad114fb48e2be54a9e2e9c4026e5564a002b3b01df977e3"),
+        ("figure --qmax 200 --format plain --digits 12",
+         "df42c09ba9f72096354e907c087c2bac29ab946befc760ea307aed1d2d6e0ee6"),
+        ("figure --qmax 200 --format json --digits 12",
+         "902b8ddb74315a7d836340c6a2ded9e69d06305084d16e21684a982e7daf576a"),
+        ("identities --qsum-max 60 --qmax 75",
+         "68f8f443f35e67f29c1a26c8436da2ed9ebb7d69c273df10b2ed56eeae15ac51"),
+        ("identities --qsum-max 60 --qmax 75 --format csv",
+         "6c3eb4e9c0012da4180fede215a609ad72284d51d8fd1755d01e92d182f0a5a6"),
+        ("identities --qsum-max 60 --qmax 75 --format json",
+         "e397d1aa5ebc18565272280a64c4503817a13f3aa16d1f08b972133712f3e8df"),
+        ("identities --qsum-max 60 --qmax 75 --tol 1e-30",
+         "eacd27ad22a76b2db382168168f4c1a5c1e01d782fbd99e60e0275b88a67bfd6"),
+        ("identities --qsum-max 60 --qmax 75 --tol 1e-30 --format csv",
+         "020917c29f07b762a6a3e25d1ee4f576861b20b0c58771058b60039740490c4b"),
+        ("identities --qsum-max 60 --qmax 75 --tol 1e-30 --format json",
+         "d32ee9fb0c92c624b9a77abdae85cb87c080548d2218abe8538113c8b4d07ccd"),
+        ("exponent --k 3/17 --format csv",
+         "d924369c73d2767776bb4efbabb0a14b36780c525189de7f74cd29c3149ead5a"),
+        ("exponent --k 5/4097 --format csv --digits 12",
+         "5f10f8cf2c19d880e27f15eda98d0cde04968a1eac70ca5a81f08f3fa143d378"),
+        ("exponent --k 1/8",
+         "cb78386a0579e6454deb49e0e630353615fdcb2b99fd10d7cacd884f4792fe29"),
+        ("exponent --k 1/8 --format csv",
+         "51c915e91cd46de8a0e9f8b0b88360b3441fb9605f7168e7f421882a7514d2f6"),
+        ("exponent --k 1/8 --format json",
+         "293e7113df9f17f0a3402dd91b1d1afd3286a4e3ef128815157df9430e8a8258"),
+        ("exponent --k 3/17 --r 2",
+         "888bef03bc1d893fd821aebdbae92a179e3167691a3ef22a83e5a659c023a5f4"),
+        ("exponent --k 3/17 --r 2 --format csv --digits 12",
+         "68b6c04b243b456c1f2854f0d38a9eb972ea4c77b1f2a93b79c4969b4464f540"),
+        ("exponent --k 3/17 --r 2 --format json --digits 12",
+         "c4513c3a2c479324cbd08fa2712236937e5a1f7b606743178041d8045ae9555f"),
     ])
     def test_stdout_digest(self, run_cli, argv, digest):
         code, out, err = run_cli(*shlex.split(argv))
-        assert code == 0 and err == ""
+        assert code == (3 if "FAIL" in out else 0) and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
