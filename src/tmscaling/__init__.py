@@ -56,48 +56,3 @@ from .tmcore import ExponentialSum, TmWord, exp_sum_direct, exp_sum_recursive, t
 from .wavenumber import WaveNumber, as_wave_number, frac_levels
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DigitStream",
-    "ExponentResult",
-    "ExponentialSum",
-    "OrbitDecomposition",
-    "PowersOfTwo",
-    "RieszTrace",
-    "TmWord",
-    "WaveNumber",
-    "WeylReport",
-    "as_wave_number",
-    "beta_rational",
-    "block_mixed",
-    "check_coset_sum_identity",
-    "check_log_integral",
-    "check_qsum",
-    "coset_decomposition",
-    "divisors",
-    "doubling_orbit",
-    "enumerate_positive_exponents",
-    "exp_sum_direct",
-    "exp_sum_recursive",
-    "figure_data",
-    "flipped",
-    "frac_levels",
-    "frac_pow2",
-    "g_closed_form",
-    "interval_mass",
-    "log_factor",
-    "mixed_exponent_trace",
-    "moebius",
-    "moebius_inverted_coset_sum",
-    "mult_order_of_two",
-    "orbit_log_mean",
-    "partial_product_log",
-    "perturbed_exponent_trace",
-    "random_bits",
-    "rational_periodic",
-    "rational_stream",
-    "running_exponent",
-    "tm_word",
-    "trace",
-    "weyl_diagnostics",
-]

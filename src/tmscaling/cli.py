@@ -1,12 +1,16 @@
 """Command-line front end.
 
-Every subcommand prints its own invocation line first (as a '#' comment
-in csv/plain output, as an "invocation" field in json).  The line is
-built from the parsed arguments and names every option of the verb, so
-any output file can be regenerated from its header alone.  Data goes to
-stdout, diagnostics to stderr.  Exit codes: 0 success, 2 usage/validation
-error, 3 numeric identity check outside tolerance.  Table and figure
-output is deterministic: the same arguments always print the same bytes.
+Each verb computes its result and returns its output for ``--format``: a
+list of lines for csv and plain, a dict for json (``identities`` also
+returns its exit code).  ``main`` is the only writer.  It puts the
+invocation first, as a '#' comment line or as the "invocation" field of
+the json, and writes json in batches of encoder chunks.  The invocation
+is built from the parsed arguments and names every option of the verb,
+so any output file can be regenerated from its header alone.  Data goes
+to stdout, diagnostics to stderr.  Exit codes: 0 success, 2
+usage/validation error, 3 numeric identity check outside tolerance.
+Table and figure output is deterministic: the same arguments always
+print the same bytes.
 """
 
 from __future__ import annotations
@@ -43,18 +47,6 @@ def _invocation(args: argparse.Namespace) -> str:
         text = shlex.quote(str(value))
         parts += [f"{flag}={text}"] if text.startswith("-") else [flag, text]
     return " ".join(parts)
-
-
-def _print_lines(lines):
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _print_json(obj):
-    """``json.dumps(obj, indent=2)`` and a newline, written a batch of chunks at a time."""
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    while batch := "".join(itertools.islice(chunks, _ORBIT_SLICE)):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
 
 
 def _spec_int(spec: str, text: str, form: str) -> int:
@@ -105,7 +97,7 @@ def _parse_trace_target(text: str):
         raise ValueError(f"cannot interpret {text!r} as a wave number or stream")
 
 
-def _cmd_exponent(args, inv: str) -> int:
+def _exponent(args):
     wn = WaveNumber.parse(args.k).with_extra_dyadic_power(args.r)
     try:
         canonical = f"{wn} = {wn.m}/(2^{wn.r} * {wn.q})"
@@ -116,86 +108,75 @@ def _cmd_exponent(args, inv: str) -> int:
     except ValueError as exc:   # the orbit is longer than the budget
         raise ValueError(f"--k {args.k}: {exc}") from None
     if args.format == "json":
-        payload = {"invocation": inv, "k": str(wn), "m": wn.m, "r": wn.r, "q": wn.q}
-        payload.update(result.to_json_dict(args.digits))
-        _print_json(payload)
-        return 0
+        return {"k": str(wn), "m": wn.m, "r": wn.r, "q": wn.q,
+                **result.to_json_dict(args.digits)}
+    d = result.diagnostics
     if args.format == "csv":
-        lines = [f"# {inv}", "k,kind,beta,method,orbit_size,representative"]
-        if result.is_extinct:
-            lines.append(f"{wn},extinct,extinct,coset-formula,,")
-        else:
-            d = result.diagnostics
-            lines.append(f"{wn},value,{format_float(result.value, args.digits)},"
-                         f"{result.method},{d['orbit_size']},{d['representative']}")
-        _print_lines(lines)
-        return 0
-    lines = [f"# {inv}", f"k = {canonical}"]
+        return ["k,kind,beta,method,orbit_size,representative",
+                f"{wn},extinct,extinct,coset-formula,," if result.is_extinct else
+                f"{wn},value,{format_float(result.value, args.digits)},"
+                f"{result.method},{d['orbit_size']},{d['representative']}"]
     if result.is_extinct:
-        lines.append("beta = extinct")
-        lines.append(f"detail = dyadic wave number: every factor from level "
-                     f"{wn.r} on vanishes")
-    else:
-        d = result.diagnostics
-        lines.append(f"beta = {format_float(result.value, args.digits)}")
-        lines.append(f"method = {result.method}")
-        lines.append(f"orbit_size = {d['orbit_size']}")
-        lines.append(f"representative = {d['representative']}")
-        orbit = d["orbit"]
-        lines.append("orbit = " + " ".join(
-            str(orbit[i:i + _ORBIT_SLICE].tolist())[1:-1].replace(",", "")
-            for i in range(0, len(orbit), _ORBIT_SLICE)))
-        if wn.r:
-            lines.append(f"note = dyadic prefactor 2^{wn.r} ignored in the limit")
-    _print_lines(lines)
-    return 0
+        return [f"k = {canonical}", "beta = extinct",
+                f"detail = dyadic wave number: every factor from level {wn.r} on vanishes"]
+    orbit = d["orbit"]
+    lines = [f"k = {canonical}",
+             f"beta = {format_float(result.value, args.digits)}",
+             f"method = {result.method}",
+             f"orbit_size = {d['orbit_size']}",
+             f"representative = {d['representative']}",
+             "orbit = " + " ".join(
+                 str(orbit[i:i + _ORBIT_SLICE].tolist())[1:-1].replace(",", "")
+                 for i in range(0, len(orbit), _ORBIT_SLICE))]
+    if wn.r:
+        lines.append(f"note = dyadic prefactor 2^{wn.r} ignored in the limit")
+    return lines
 
 
-def _cmd_gfun(args, inv: str) -> int:
+def _gfun(args):
     value = exponents.g_closed_form(args.q)
     if args.format == "json":
-        _print_json({"invocation": inv, "q": args.q,
-                     "g_q": json_number(value, args.digits)})
-    elif args.format == "csv":
-        _print_lines([f"# {inv}", "q,g_q",
-                      f"{args.q},{format_float(value, args.digits)}"])
-    else:
-        _print_lines([f"# {inv}",
-                      f"g({args.q}) = {format_float(value, args.digits)}"])
-    return 0
+        return {"q": args.q, "g_q": json_number(value, args.digits)}
+    text = format_float(value, args.digits)
+    return ["q,g_q", f"{args.q},{text}"] if args.format == "csv" else [f"g({args.q}) = {text}"]
 
 
-def _cmd_table(args, inv: str) -> int:
+def _table(args):
     rows = exponents.enumerate_positive_exponents(args.qmax)
     if args.format == "json":
-        _print_json({"invocation": inv,
-                     "rows": exponents.table_json_rows(rows, args.digits)})
-    elif args.format == "plain":
-        lines = [f"# {inv}"]
-        lines.extend(f"{p}/{q} {format_float(beta, args.digits)}"
-                     for q, p, beta in rows)
-        _print_lines(lines)
-    else:
-        _print_lines([f"# {inv}"] + exponents.table_csv_lines(rows, args.digits))
-    return 0
+        return {"rows": exponents.table_json_rows(rows, args.digits)}
+    if args.format == "csv":
+        return exponents.table_csv_lines(rows, args.digits)
+    return [f"{p}/{q} {format_float(beta, args.digits)}" for q, p, beta in rows]
 
 
-def _cmd_figure(args, inv: str) -> int:
+def _figure(args):
     rows = exponents.figure_data(args.qmax)
     if args.format == "json":
-        _print_json({"invocation": inv,
-                     "rows": exponents.figure_json_rows(rows, args.digits)})
-    elif args.format == "plain":
-        lines = [f"# {inv}"]
-        lines.extend(f"q={q} beta={format_float(b, args.digits)} "
-                     f"g={format_float(g, args.digits)}" for q, b, g in rows)
-        _print_lines(lines)
-    else:
-        _print_lines([f"# {inv}"] + exponents.figure_csv_lines(rows, args.digits))
-    return 0
+        return {"rows": exponents.figure_json_rows(rows, args.digits)}
+    if args.format == "csv":
+        return exponents.figure_csv_lines(rows, args.digits)
+    return [f"q={q} beta={format_float(b, args.digits)} g={format_float(g, args.digits)}"
+            for q, b, g in rows]
 
 
-def _cmd_riesz_trace(args, inv: str) -> int:
+def _trace_output(fmt: str, digits: int, tr: riesz.RieszTrace, text: list[str], **numbers):
+    """A trace with named numbers, in ``fmt``.
+
+    json puts the numbers (through ``json_number``) ahead of the trace's
+    fields; plain is the ``text`` lines, then 'name = value' per number;
+    csv is those lines as '# ' comments, then the trace rows.
+    """
+    if fmt == "json":
+        return {**{name: json_number(x, digits) for name, x in numbers.items()},
+                **tr.to_json_dict(digits)}
+    lines = [*text, *(f"{name} = {format_float(x, digits)}" for name, x in numbers.items())]
+    if fmt == "plain":
+        return lines
+    return [f"# {line}" for line in lines] + tr.to_csv_lines(digits)
+
+
+def _riesz_trace(args):
     if args.every > args.nmax:
         raise ValueError(f"--every {args.every} is larger than --nmax {args.nmax}, "
                          f"so no level would be recorded")
@@ -205,90 +186,44 @@ def _cmd_riesz_trace(args, inv: str) -> int:
         tr = riesz.trace(target, args.nmax, sample_levels=levels)
     except ValueError as exc:   # more levels than the orbit or the sample budget
         raise ValueError(f"--k {args.k} --nmax {args.nmax} --every {args.every}: {exc}") from None
-    if args.format == "json":
-        payload = {"invocation": inv}
-        payload.update(tr.to_json_dict(args.digits))
-        _print_json(payload)
-    else:
-        lines = [f"# {inv}", f"# wave_number = {tr.wave_number}"]
-        if tr.extinct_at is not None:
-            lines.append(f"# extinct_at = {tr.extinct_at}")
-        lines.extend(tr.to_csv_lines(args.digits))
-        _print_lines(lines)
-    return 0
+    text = [f"wave_number = {tr.wave_number}"]
+    if tr.extinct_at is not None:
+        text.append(f"extinct_at = {tr.extinct_at}")
+    # the trace rows are the output, so plain prints the csv
+    return _trace_output("csv" if args.format == "plain" else args.format, args.digits, tr, text)
 
 
-def _cmd_weyl(args, inv: str) -> int:
+def _weyl(args):
     stream = parse_stream_spec(args.stream)
     report = expansions.weyl_diagnostics(stream, args.samples, args.harmonics)
     if args.format == "json":
-        payload = {"invocation": inv}
-        payload.update(report.to_json_dict(args.digits))
-        _print_json(payload)
-    elif args.format == "csv":
-        lines = [f"# {inv}", f"# stream = {stream.label()}",
-                 f"# mean_log_factor = {format_float(report.mean_log_factor, args.digits)}",
-                 "harmonic,weyl_modulus"]
-        lines.extend(f"{h},{format_float(w, args.digits)}"
-                     for h, w in enumerate(report.weyl_moduli, start=1))
-        _print_lines(lines)
-    else:
-        lines = [f"# {inv}", f"stream = {stream.label()}",
-                 f"samples = {report.samples}"]
-        for h, w in enumerate(report.weyl_moduli, start=1):
-            lines.append(f"weyl_modulus[{h}] = {format_float(w, args.digits)}")
-        lines.append(f"mean_log_factor = {format_float(report.mean_log_factor, args.digits)}")
-        _print_lines(lines)
-    return 0
+        return report.to_json_dict(args.digits)
+    moduli = enumerate((format_float(w, args.digits) for w in report.weyl_moduli), start=1)
+    mean = format_float(report.mean_log_factor, args.digits)
+    if args.format == "csv":
+        return [f"# stream = {stream.label()}", f"# mean_log_factor = {mean}",
+                "harmonic,weyl_modulus", *(f"{h},{w}" for h, w in moduli)]
+    return [f"stream = {stream.label()}", f"samples = {report.samples}",
+            *(f"weyl_modulus[{h}] = {w}" for h, w in moduli), f"mean_log_factor = {mean}"]
 
 
-def _cmd_perturb(args, inv: str) -> int:
-    wn = WaveNumber.parse(args.k)
-    positions = PowersOfTwo(args.flip_start)
-    tr = expansions.perturbed_exponent_trace(wn, positions, n_max=args.nmax)
-    final = tr.final_running_exponent
-    if args.format == "json":
-        payload = {"invocation": inv,
-                   "final_running_exponent": json_number(final, args.digits)}
-        payload.update(tr.to_json_dict(args.digits))
-        _print_json(payload)
-    elif args.format == "plain":
-        _print_lines([f"# {inv}", f"stream = {tr.wave_number}",
-                      f"final_running_exponent = {format_float(final, args.digits)}"])
-    else:
-        lines = [f"# {inv}", f"# stream = {tr.wave_number}",
-                 f"# final_running_exponent = {format_float(final, args.digits)}"]
-        lines.extend(tr.to_csv_lines(args.digits))
-        _print_lines(lines)
-    return 0
+def _perturb(args):
+    tr = expansions.perturbed_exponent_trace(WaveNumber.parse(args.k),
+                                             PowersOfTwo(args.flip_start), n_max=args.nmax)
+    return _trace_output(args.format, args.digits, tr, [f"stream = {tr.wave_number}"],
+                         final_running_exponent=tr.final_running_exponent)
 
 
-def _cmd_mix(args, inv: str) -> int:
-    stream_a = parse_stream_spec(args.a)
-    stream_b = parse_stream_spec(args.b)
-    tr, lo, hi = expansions.mixed_exponent_trace(stream_a, stream_b, args.nmax,
+def _mix(args):
+    tr, lo, hi = expansions.mixed_exponent_trace(parse_stream_spec(args.a),
+                                                 parse_stream_spec(args.b), args.nmax,
                                                  growth=args.growth)
-    if args.format == "json":
-        payload = {"invocation": inv,
-                   "liminf": json_number(lo, args.digits),
-                   "limsup": json_number(hi, args.digits)}
-        payload.update(tr.to_json_dict(args.digits))
-        _print_json(payload)
-    elif args.format == "plain":
-        _print_lines([f"# {inv}",
-                      f"checkpoints = {len(tr.samples)}",
-                      f"liminf = {format_float(lo, args.digits)}",
-                      f"limsup = {format_float(hi, args.digits)}"])
-    else:
-        lines = [f"# {inv}",
-                 f"# liminf = {format_float(lo, args.digits)}",
-                 f"# limsup = {format_float(hi, args.digits)}"]
-        lines.extend(tr.to_csv_lines(args.digits))
-        _print_lines(lines)
-    return 0
+    text = [f"checkpoints = {len(tr.samples)}"] if args.format == "plain" else []
+    return _trace_output(args.format, args.digits, tr, text, liminf=lo, limsup=hi)
 
 
-def _cmd_identities(args, inv: str) -> int:
+def _identities(args):
+    """The checks' output and exit code: 3 if a worst deviation is above ``--tol``."""
     worst_qsum = (0.0, None)
     for n in range(2, args.qsum_max + 1):
         lhs, rhs = riesz.check_qsum(n)
@@ -301,44 +236,30 @@ def _cmd_identities(args, inv: str) -> int:
             worst_coset = (abs(lhs - rhs), q)
         if abs(m_lhs - m_rhs) > worst_moebius[0]:
             worst_moebius = (abs(m_lhs - m_rhs), q)
-
-    failed = (worst_qsum[0] > args.tol or worst_coset[0] > args.tol
-              or worst_moebius[0] > args.tol)
+    # qsum is a relative deviation over n; the coset checks are absolute, over odd q
+    checks = [("qsum", 2, args.qsum_max, worst_qsum),
+              ("coset-sum", 3, args.qmax, worst_coset),
+              ("moebius-inversion", 3, args.qmax, worst_moebius)]
+    failed = any(worst > args.tol for *_, (worst, _) in checks)
     status = "FAIL" if failed else "ok"
     if args.format == "json":
-        _print_json({
-            "invocation": inv,
-            "qsum": {"range": [2, args.qsum_max],
-                     "worst_relative_deviation": worst_qsum[0], "at_n": worst_qsum[1]},
-            "coset_sum": {"range": [3, args.qmax],
-                          "worst_deviation": worst_coset[0], "at_q": worst_coset[1]},
-            "moebius_inversion": {"range": [3, args.qmax],
-                                  "worst_deviation": worst_moebius[0],
-                                  "at_q": worst_moebius[1]},
-            "tolerance": args.tol,
-            "status": status,
-        })
+        out = {name.replace("-", "_"): {
+                   "range": [lo, hi],
+                   ("worst_relative_deviation" if name == "qsum" else "worst_deviation"): worst,
+                   ("at_n" if name == "qsum" else "at_q"): at}
+               for name, lo, hi, (worst, at) in checks}
+        out.update(tolerance=args.tol, status=status)
     elif args.format == "csv":
-        _print_lines([
-            f"# {inv}",
-            "check,lo,hi,worst_deviation,at,status",
-            f"qsum,2,{args.qsum_max},{worst_qsum[0]:.3e},{worst_qsum[1]},{status}",
-            f"coset-sum,3,{args.qmax},{worst_coset[0]:.3e},{worst_coset[1]},{status}",
-            f"moebius-inversion,3,{args.qmax},{worst_moebius[0]:.3e},"
-            f"{worst_moebius[1]},{status}",
-        ])
+        out = ["check,lo,hi,worst_deviation,at,status",
+               *(f"{name},{lo},{hi},{worst:.3e},{at},{status}"
+                 for name, lo, hi, (worst, at) in checks)]
     else:
-        _print_lines([
-            f"# {inv}",
-            f"qsum: n in [2,{args.qsum_max}], worst relative deviation = "
-            f"{worst_qsum[0]:.3e} (n={worst_qsum[1]})",
-            f"coset-sum: odd q in [3,{args.qmax}], worst |lhs-rhs| = "
-            f"{worst_coset[0]:.3e} (q={worst_coset[1]})",
-            f"moebius-inversion: odd q in [3,{args.qmax}], worst |lhs-rhs| = "
-            f"{worst_moebius[0]:.3e} (q={worst_moebius[1]})",
-            f"status = {status} (tolerance {args.tol:g})",
-        ])
-    return 3 if failed else 0
+        out = [f"{name}: n in [{lo},{hi}], worst relative deviation = {worst:.3e} (n={at})"
+               if name == "qsum" else
+               f"{name}: odd q in [{lo},{hi}], worst |lhs-rhs| = {worst:.3e} (q={at})"
+               for name, lo, hi, (worst, at) in checks]
+        out.append(f"status = {status} (tolerance {args.tol:g})")
+    return out, 3 if failed else 0
 
 
 def _bounded_int(low: int | None = None, high: int | None = None):
@@ -382,7 +303,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_output_options(sub, default_format="plain", digits=True):
+def _finish_verb(sub, func, default_format="plain", digits=True):
+    """Set the verb function ``main`` calls, and add the output options."""
+    sub.set_defaults(func=func)
     sub.add_argument("--format", choices=["csv", "json", "plain"],
                      default=default_format, help="output format")
     if digits:
@@ -401,23 +324,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, help="rational wave number, e.g. 3/17")
     p.add_argument("--r", type=_bounded_int(0, 10_000), default=0,
                    help="extra dyadic power: evaluate k / 2**r")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_exponent)
+    _finish_verb(p, _exponent)
 
     p = subs.add_parser("gfun", help="closed-form exponent g(q)")
     p.add_argument("--q", type=_odd_modulus, required=True, help="odd integer >= 3")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_gfun)
+    _finish_verb(p, _gfun)
 
     p = subs.add_parser("table", help="all positive exponents for odd 5 < q < qmax")
     p.add_argument("--qmax", type=_ENUMERATION, default=1000)
-    _add_output_options(p, default_format="csv")
-    p.set_defaults(func=_cmd_table)
+    _finish_verb(p, _table, default_format="csv")
 
     p = subs.add_parser("figure", help="exponent of 1/q and g(q) for odd q < qmax")
     p.add_argument("--qmax", type=_ENUMERATION, default=1050)
-    _add_output_options(p, default_format="csv")
-    p.set_defaults(func=_cmd_figure)
+    _finish_verb(p, _figure, default_format="csv")
 
     p = subs.add_parser("riesz-trace",
                         help="log2 partial products and running exponents")
@@ -425,16 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rational M/Q, float, or stream spec (random:SEED, ...)")
     p.add_argument("--nmax", type=_POSITIVE, default=60)
     p.add_argument("--every", type=_POSITIVE, default=1, help="record every i-th level")
-    _add_output_options(p, default_format="csv")
-    p.set_defaults(func=_cmd_riesz_trace)
+    _finish_verb(p, _riesz_trace, default_format="csv")
 
     p = subs.add_parser("weyl", help="equidistribution diagnostics for a stream")
     p.add_argument("--stream", required=True,
                    help="random:SEED | rational:M/Q | flipped:M/Q[:START]")
     p.add_argument("--samples", type=_POSITIVE, default=16384)
-    p.add_argument("--harmonics", type=_POSITIVE, default=5)
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_weyl)
+    p.add_argument("--harmonics", type=_bounded_int(1, 64), default=5)
+    _finish_verb(p, _weyl)
 
     p = subs.add_parser("perturb",
                         help="trace a rational expansion with digit flips at 2^r")
@@ -442,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=_POSITIVE, default=4096)
     p.add_argument("--flip-start", type=_NON_NEGATIVE, default=1,
                    help="flip positions 2^r for r >= this exponent")
-    _add_output_options(p, default_format="csv")
-    p.set_defaults(func=_cmd_perturb)
+    _finish_verb(p, _perturb, default_format="csv")
 
     p = subs.add_parser("mix", help="trace a block mixture of two streams")
     p.add_argument("--a", required=True, help="stream spec for odd blocks")
@@ -451,27 +367,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=_POSITIVE, default=65536)
     p.add_argument("--growth", type=_bounded_int(2), default=4,
                    help="block j has length growth^j")
-    _add_output_options(p, default_format="csv")
-    p.set_defaults(func=_cmd_mix)
+    _finish_verb(p, _mix, default_format="csv")
 
     p = subs.add_parser("identities", help="run the analytic identity checks")
     p.add_argument("--qsum-max", dest="qsum_max", type=_ENUMERATION, default=200)
     p.add_argument("--qmax", type=_ENUMERATION, default=105)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    _add_output_options(p, digits=False)
-    p.set_defaults(func=_cmd_identities)
+    _finish_verb(p, _identities, digits=False)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _invocation(args))
+        out = args.func(args)
     except ValueError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
+    out, code = out if isinstance(out, tuple) else (out, 0)
+    if isinstance(out, dict):
+        chunks = json.JSONEncoder(indent=2).iterencode({"invocation": _invocation(args), **out})
+        while batch := "".join(itertools.islice(chunks, _ORBIT_SLICE)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
+    else:
+        sys.stdout.write("\n".join([f"# {_invocation(args)}", *out, ""]))
+    return code
 
 
 if __name__ == "__main__":

@@ -29,15 +29,6 @@ from .streams import (DigitStream, PowersOfTwo, block_ends, block_mixed, flipped
                       rational_periodic)
 from .wavenumber import WINDOW, RationalLike, as_wave_number, frac_levels
 
-__all__ = [
-    "WeylReport",
-    "frac_pow2",
-    "mixed_exponent_trace",
-    "perturbed_exponent_trace",
-    "rational_stream",
-    "weyl_diagnostics",
-]
-
 
 def rational_stream(k: RationalLike) -> DigitStream:
     """Digit stream of a rational wave number's exact binary expansion."""

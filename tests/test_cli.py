@@ -406,13 +406,16 @@ class TestArgumentValidation:
         (("gfun", "--q", "4"), "--q"),
         (("gfun", "--q", "1"), "--q"),
         (("gfun", "--q", "-3"), "--q"),
+        (("weyl", "--stream", "random:1", "--samples", "16", "--harmonics", "65"),
+         "--harmonics"),
     ])
     def test_out_of_range_value_exits_2_naming_the_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: must be >=" in err
+        bound = "<= 64" if argv[-1] == "65" else ">="
+        assert f"argument {flag}: must be {bound}" in err
 
     @pytest.mark.parametrize("flag", ["--qmax", "--qsum-max"])
     def test_identity_bound_above_enumeration_cap_exits_2(self, capsys, flag):
