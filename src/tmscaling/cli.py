@@ -23,9 +23,9 @@ import shlex
 import sys
 
 from . import exponents, expansions, riesz
-from .serialize import format_float, json_number
+from .serialize import csv_lines, format_float, json_number, json_rows
 from .streams import DigitStream, PowersOfTwo, flipped, random_bits
-from .wavenumber import WaveNumber
+from .wavenumber import MAX_STREAM_LEVELS, WINDOW, WaveNumber
 
 PROG = "tmscaling"
 #: residues joined per slice of the printed orbit line (and JSON chunks per
@@ -107,10 +107,12 @@ def _exponent(args):
         result = exponents.beta_rational(wn)
     except ValueError as exc:   # the orbit is longer than the budget
         raise ValueError(f"--k {args.k}: {exc}") from None
-    if args.format == "json":
-        return {"k": str(wn), "m": wn.m, "r": wn.r, "q": wn.q,
-                **result.to_json_dict(args.digits)}
     d = result.diagnostics
+    if args.format == "json":
+        value = {} if result.is_extinct else {"value": json_number(result.value, args.digits)}
+        return {"k": str(wn), "m": wn.m, "r": wn.r, "q": wn.q, "kind": result.kind,
+                "method": result.method, **value,
+                "diagnostics": {key: v.tolist() if key == "orbit" else v for key, v in d.items()}}
     if args.format == "csv":
         return ["k,kind,beta,method,orbit_size,representative",
                 f"{wn},extinct,extinct,coset-formula,," if result.is_extinct else
@@ -134,17 +136,18 @@ def _exponent(args):
 
 
 def _gfun(args):
-    value = exponents.g_closed_form(args.q)
+    row = [(args.q, exponents.g_closed_form(args.q))]
     if args.format == "json":
-        return {"q": args.q, "g_q": json_number(value, args.digits)}
-    text = format_float(value, args.digits)
-    return ["q,g_q", f"{args.q},{text}"] if args.format == "csv" else [f"g({args.q}) = {text}"]
+        return json_rows("q,g_q", row, args.digits)[0]
+    if args.format == "csv":
+        return csv_lines("q,g_q", row, args.digits)
+    return [f"g({args.q}) = {format_float(row[0][1], args.digits)}"]
 
 
 def _table(args):
     rows = exponents.enumerate_positive_exponents(args.qmax)
     if args.format == "json":
-        return {"rows": exponents.table_json_rows(rows, args.digits)}
+        return {"rows": json_rows(exponents.TABLE_CSV_HEADER, rows, args.digits, keys=2)}
     if args.format == "csv":
         return exponents.table_csv_lines(rows, args.digits)
     return [f"{p}/{q} {format_float(beta, args.digits)}" for q, p, beta in rows]
@@ -153,7 +156,7 @@ def _table(args):
 def _figure(args):
     rows = exponents.figure_data(args.qmax)
     if args.format == "json":
-        return {"rows": exponents.figure_json_rows(rows, args.digits)}
+        return {"rows": json_rows(exponents.FIGURE_CSV_HEADER, rows, args.digits)}
     if args.format == "csv":
         return exponents.figure_csv_lines(rows, args.digits)
     return [f"q={q} beta={format_float(b, args.digits)} g={format_float(g, args.digits)}"
@@ -169,7 +172,9 @@ def _trace_output(fmt: str, digits: int, tr: riesz.RieszTrace, text: list[str], 
     """
     if fmt == "json":
         return {**{name: json_number(x, digits) for name, x in numbers.items()},
-                **tr.to_json_dict(digits)}
+                "wave_number": tr.wave_number, "extinct_at": tr.extinct_at,
+                "quality": tr.quality,
+                "samples": json_rows(riesz.TRACE_CSV_HEADER, tr.rows(), digits)}
     lines = [*text, *(f"{name} = {format_float(x, digits)}" for name, x in numbers.items())]
     if fmt == "plain":
         return lines
@@ -197,14 +202,19 @@ def _weyl(args):
     stream = parse_stream_spec(args.stream)
     report = expansions.weyl_diagnostics(stream, args.samples, args.harmonics)
     if args.format == "json":
-        return report.to_json_dict(args.digits)
-    moduli = enumerate((format_float(w, args.digits) for w in report.weyl_moduli), start=1)
+        return {"stream": report.stream, "samples": report.samples,
+                "harmonics": report.harmonics,
+                "weyl_moduli": [json_number(w, args.digits) for w in report.weyl_moduli],
+                "mean_log_factor": json_number(report.mean_log_factor, args.digits),
+                "window": WINDOW, "near_singular_refined": report.near_singular_refined}
     mean = format_float(report.mean_log_factor, args.digits)
     if args.format == "csv":
         return [f"# stream = {stream.label()}", f"# mean_log_factor = {mean}",
-                "harmonic,weyl_modulus", *(f"{h},{w}" for h, w in moduli)]
+                *csv_lines("harmonic,weyl_modulus", enumerate(report.weyl_moduli, 1),
+                           args.digits)]
     return [f"stream = {stream.label()}", f"samples = {report.samples}",
-            *(f"weyl_modulus[{h}] = {w}" for h, w in moduli), f"mean_log_factor = {mean}"]
+            *(f"weyl_modulus[{h}] = {format_float(w, args.digits)}"
+              for h, w in enumerate(report.weyl_moduli, 1)), f"mean_log_factor = {mean}"]
 
 
 def _perturb(args):
@@ -287,6 +297,7 @@ def _odd_modulus(text: str) -> int:
 
 _NON_NEGATIVE = _bounded_int(0)
 _POSITIVE = _bounded_int(1)
+_STREAM_LEVELS = _bounded_int(1, MAX_STREAM_LEVELS)
 #: table, figure and the identity checks run over every q up to the bound,
 #: so it sets their run time
 _ENUMERATION = _bounded_int(1, exponents.MAX_ENUMERATION_BOUND)
@@ -349,14 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("weyl", help="equidistribution diagnostics for a stream")
     p.add_argument("--stream", required=True,
                    help="random:SEED | rational:M/Q | flipped:M/Q[:START]")
-    p.add_argument("--samples", type=_POSITIVE, default=16384)
+    p.add_argument("--samples", type=_STREAM_LEVELS, default=16384)
     p.add_argument("--harmonics", type=_bounded_int(1, 64), default=5)
     _finish_verb(p, _weyl)
 
     p = subs.add_parser("perturb",
                         help="trace a rational expansion with digit flips at 2^r")
     p.add_argument("--k", required=True, help="rational base, e.g. 1/3")
-    p.add_argument("--nmax", type=_POSITIVE, default=4096)
+    p.add_argument("--nmax", type=_STREAM_LEVELS, default=4096)
     p.add_argument("--flip-start", type=_NON_NEGATIVE, default=1,
                    help="flip positions 2^r for r >= this exponent")
     _finish_verb(p, _perturb, default_format="csv")
@@ -364,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("mix", help="trace a block mixture of two streams")
     p.add_argument("--a", required=True, help="stream spec for odd blocks")
     p.add_argument("--b", required=True, help="stream spec for even blocks")
-    p.add_argument("--nmax", type=_POSITIVE, default=65536)
+    p.add_argument("--nmax", type=_STREAM_LEVELS, default=65536)
     p.add_argument("--growth", type=_bounded_int(2), default=4,
                    help="block j has length growth^j")
     _finish_verb(p, _mix, default_format="csv")

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import riesz
 from .riesz import RieszTrace, log_factors
-from .serialize import json_number
 from .streams import (DigitStream, PowersOfTwo, block_ends, block_mixed, flipped,
                       rational_periodic)
 from .wavenumber import WINDOW, RationalLike, as_wave_number, frac_levels
@@ -65,17 +64,6 @@ class WeylReport:
     weyl_moduli: list[float]
     mean_log_factor: float
     near_singular_refined: int = 0
-
-    def to_json_dict(self, digits: int = 9) -> dict:
-        return {
-            "stream": self.stream,
-            "samples": self.samples,
-            "harmonics": self.harmonics,
-            "weyl_moduli": [json_number(w, digits) for w in self.weyl_moduli],
-            "mean_log_factor": json_number(self.mean_log_factor, digits),
-            "window": WINDOW,
-            "near_singular_refined": self.near_singular_refined,
-        }
 
 
 def weyl_diagnostics(stream: DigitStream, samples: int, harmonics: int) -> WeylReport:

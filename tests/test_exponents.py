@@ -454,12 +454,13 @@ class TestScreen:
 
 
 class TestOrbitArrays:
-    def test_json_dict_lists_the_orbit(self):
+    def test_json_dict_lists_the_orbit(self, capsys):
         result = beta_rational("1/65539")
         walk = [1]
         while 2 * walk[-1] % 65539 != 1:
             walk.append(2 * walk[-1] % 65539)
-        payload = json.loads(json.dumps(result.to_json_dict()))
+        assert cli.main(["exponent", "--k", "1/65539", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["diagnostics"]["orbit"] == walk
         assert payload["diagnostics"]["representative"] == 1
         assert isinstance(result.diagnostics["orbit"], np.ndarray)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tmscaling import riesz
+from tmscaling import cli, riesz
 from tmscaling.riesz import (
     RieszTrace,
     check_log_integral,
@@ -20,7 +20,7 @@ from tmscaling.riesz import (
     running_exponent,
     trace,
 )
-from tmscaling.serialize import format_float
+from tmscaling.serialize import csv_lines, format_float, json_number, json_rows
 from tmscaling.tmcore import exp_sum_recursive
 
 from conftest import log2_factor_oracle
@@ -154,9 +154,9 @@ class TestTrace:
         assert lines[0] == "n,log2_f,running_exponent"
         assert lines[-1].endswith("-inf,-inf")
 
-    def test_json_round_trip(self):
-        tr = trace(Fraction(1, 3), 8)
-        payload = json.loads(json.dumps(tr.to_json_dict()))
+    def test_json_round_trip(self, capsys):
+        assert cli.main(["riesz-trace", "--k", "1/3", "--nmax", "8", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["wave_number"] == "1/3"
         assert payload["extinct_at"] is None
         assert len(payload["samples"]) == 8
@@ -165,7 +165,7 @@ class TestTrace:
 
     def test_json_encodes_minus_inf_as_string(self):
         tr = trace(Fraction(1, 2), 3)
-        payload = tr.to_json_dict()
+        payload = {"samples": json_rows(riesz.TRACE_CSV_HEADER, tr.rows(), 6)}
         assert payload["samples"][-1]["log2_f"] == "-inf"
 
     def test_sample_levels_subset(self):
@@ -230,6 +230,31 @@ class TestRowTemplate:
         assert lines[1:] == [
             f"{n},{per_value_format(v, digits)},{per_value_format(r, digits)}"
             for n, v, r in rows]
+
+    @given(rows=st.lists(st.tuples(st.integers(1, 2**62), st.integers(1, 2**62),
+                                   ANY_FLOAT | EDGE_FLOATS), max_size=5),
+           digits=st.integers(1, 17))
+    def test_table_rows_match_per_value_rendering(self, rows, digits):
+        # two integer keys: the rows of `table`
+        assert csv_lines("q,p,beta", rows, digits, keys=2) == ["q,p,beta", *(
+            f"{q},{p},{per_value_format(beta, digits)}" for q, p, beta in rows)]
+        rendered = json_rows("q,p,beta", rows, digits, keys=2)
+        expected = [{"q": q, "p": p, "beta": json_number(beta, digits)} for q, p, beta in rows]
+        # compared as text, so that the key order counts too
+        assert json.dumps(rendered) == json.dumps(expected)
+
+    @given(rows=st.lists(st.tuples(st.integers(1, 2**62), ANY_FLOAT | EDGE_FLOATS,
+                                   ANY_FLOAT | EDGE_FLOATS), max_size=5),
+           digits=st.integers(1, 17))
+    def test_one_key_rows_match_per_value_rendering(self, rows, digits):
+        # one integer key: the rows of `figure` and of every trace
+        header = "n,log2_f,running_exponent"
+        assert csv_lines(header, rows, digits) == [header, *(
+            f"{n},{per_value_format(v, digits)},{per_value_format(r, digits)}"
+            for n, v, r in rows)]
+        expected = [{"n": n, "log2_f": json_number(v, digits),
+                     "running_exponent": json_number(r, digits)} for n, v, r in rows]
+        assert json.dumps(json_rows(header, rows, digits)) == json.dumps(expected)
 
     @given(x=ANY_FLOAT | EDGE_FLOATS, digits=st.integers(1, 17))
     def test_format_float_matches_per_value_rendering(self, x, digits):

@@ -207,3 +207,16 @@ def test_a_ladder_longer_than_the_orbit_budget_raises(monkeypatch):
         trace(rational_periodic(1, 8 * 257), 100)
     k = Fraction(1, 8 * 127)   # a closed orbit of 7 residues is tiled as far as wanted
     assert kernel(k, 1000) == reference_rational(k, 1000)
+
+
+def test_stream_levels_above_the_budget_raise_before_any_digit(monkeypatch):
+    monkeypatch.setattr(wavenumber, "MAX_STREAM_LEVELS", 100)
+    drawn = []
+    stream = DigitStream(lambda start, n: drawn.append(n) or bytes(n), "digits", {})
+    with pytest.raises(ValueError, match="MAX_STREAM_LEVELS = 100"):
+        frac_levels(stream, 101)
+    assert drawn == []
+    assert len(kernel(stream, 100)) == 100
+    # rationals, rational-periodic streams included, walk levels without a stream budget
+    assert len(kernel(rational_periodic(1, 3), 1000)) == 1000
+    assert len(kernel(Fraction(1, 3), 1000)) == 1000
