@@ -136,7 +136,10 @@ def _exponent(args):
 
 
 def _gfun(args):
-    row = [(args.q, exponents.g_closed_form(args.q))]
+    try:
+        row = [(args.q, exponents.g_closed_form(args.q))]
+    except ValueError as exc:   # q beyond the float range
+        raise ValueError(f"--q: {exc}") from None
     if args.format == "json":
         return json_rows("q,g_q", row, args.digits)[0]
     if args.format == "csv":

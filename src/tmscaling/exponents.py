@@ -25,9 +25,11 @@ import numpy as np
 from . import riesz
 from .numtheory import (
     OrbitDecomposition,
+    _require_odd_modulus,
     coset_decomposition,
     divisors,
     doubling_orbit,
+    exact_quotients,
     moebius,
 )
 from .serialize import csv_lines
@@ -69,12 +71,10 @@ def _log_terms(residues, q: int) -> np.ndarray:
     subtraction, division, products, 1 + 2x); sin and log2 are mapped as
     ``math.sin`` and ``math.log2`` (libm): numpy's own may differ from libm
     in the last bit, by numpy build and CPU, so they only screen cosets in
-    ``_positive_rows``.  Residues are int64 below 2**53, where their float64
-    values are exact and numpy's division rounds like Python's int / int;
-    larger moduli keep Python ints in an object array.
+    ``_positive_rows``.  The half-distances come from
+    ``numtheory.exact_quotients``, for any size of q.
     """
-    n = np.asarray(residues, dtype=np.int64 if q < 2**53 else object)
-    angle = np.pi * (np.minimum(n, q - n) / q)
+    angle = np.pi * exact_quotients(residues, q)[1]
     logs = map(math.log2, map(math.sin, angle.ravel().tolist()))
     return 1.0 + 2.0 * np.fromiter(logs, float, angle.size).reshape(angle.shape)
 
@@ -154,9 +154,11 @@ def g_closed_form(q: int) -> float:
     Equals the exponent of 1/q for prime q with <2, -1> = U_q (and, for odd
     q < 5000, only then); positive exactly for q = 3 and q = 5.
     """
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be odd and >= 3, got {q}")
-    return 2.0 * math.log2(q) / (q - 1) - 1.0
+    _require_odd_modulus(q)
+    try:
+        return 2.0 * math.log2(q) / (q - 1) - 1.0
+    except OverflowError:
+        raise ValueError(f"q - 1 overflows a float: q has {q.bit_length()} bits") from None
 
 
 def _coset_sum(d: int) -> tuple[int, float]:
@@ -205,8 +207,7 @@ def coset_identities(q_max: int) -> Iterator[tuple[int, tuple[float, float], tup
 
 def _screen_means(dec: OrbitDecomposition) -> np.ndarray:
     """``_coset_means`` estimated with numpy's sin and log2: it screens, it is never printed."""
-    half = np.minimum(dec.unit_orbits, dec.q - dec.unit_orbits)
-    return riesz.log_factors(half / dec.q).mean(axis=1)
+    return riesz.log_factors(exact_quotients(dec.unit_orbits, dec.q)[1]).mean(axis=1)
 
 
 def _positive_rows(q: int) -> list[tuple[int, int, float]]:

@@ -10,6 +10,7 @@ may have up to MAX_ORBIT_LENGTH residues (the modulus itself may be any
 size, except for ``coset_decomposition``, which covers all of U_q); a
 longer one raises ValueError rather than growing without limit.
 Enumerations walk every q up to 10**4, where trial division is plenty.
+``exact_quotients`` turns residues n into n/q and min(n, q - n)/q for the whole package.
 """
 
 from __future__ import annotations
@@ -63,6 +64,17 @@ def moebius(n: int) -> int:
     if n > 1:
         sign = -sign
     return sign
+
+
+def exact_quotients(nums, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n / q, min(n, q - n) / q) as float64 arrays for 0 <= n <= q, each rounded once.
+
+    n is int64 below q = 2**53, where float64 holds it exactly and numpy's
+    division rounds like Python's int / int, and a Python int (object array) above.
+    """
+    n = np.asarray(nums, dtype=np.int64 if q < 2**53 else object)
+    return ((n / q).astype(float, copy=False),
+            (np.minimum(n, q - n) / q).astype(float, copy=False))
 
 
 def _doubling_cycle(p: int, q: int, limit: int) -> np.ndarray:

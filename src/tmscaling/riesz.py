@@ -12,14 +12,14 @@ values appear only at reporting boundaries (``check_log_integral``,
 
 Numerical policy: factors are always evaluated as 2 sin(pi d)**2 where d
 is the exact distance of x_l to the nearest integer (no cancellation near
-x = 1), and a factor is declared zero only when integer arithmetic says
-x_l is exactly 0 — never by floating-point comparison.
+x = 1), and a factor is declared zero only when the canonical form of k
+says x_l is exactly 0 — never by floating-point comparison.
 
-The sums run over the array blocks of ``frac_levels``: a whole-product
-log is a sum per block, and a trace is a running sum (``np.cumsum``, in
-level order, carried from block to block) from which only the recorded
-levels are copied out.  A trace is stored as columns: one record array
-with the fields ``level``, ``log2_f`` and ``running_exponent``.
+The sums run over the array blocks of ``frac_levels``: a trace is a
+running sum (``np.cumsum``, in level order, carried from block to block)
+from which only the recorded levels are copied out, and log2 f_n is the
+trace recorded at level n alone.  A trace is stored as columns: one
+record array with the fields ``level``, ``log2_f`` and ``running_exponent``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numtheory import exact_quotients
 from .serialize import csv_lines
 from .streams import DigitStream
 from .wavenumber import WINDOW, WaveNumberLike, as_wave_number, frac_levels
@@ -55,8 +56,6 @@ def log_factor(x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return _NEG_INF
     return log_factor_from_half_dist(min(x, 1.0 - x))
 
 
@@ -67,15 +66,10 @@ def log_factors(half_dist: np.ndarray) -> np.ndarray:
 
 
 def partial_product_log(k: WaveNumberLike, n: int) -> float:
-    """log2 f_n(k): sum of log factors over levels 0 .. n-1; -inf once extinct."""
+    """log2 f_n(k), summed as ``trace`` sums it (0.0 at n = 0); -inf once extinct."""
     if n < 0:
         raise ValueError(f"level must be non-negative, got {n}")
-    total = 0.0
-    for block in frac_levels(k, n).blocks():
-        if block.is_zero.any():
-            return _NEG_INF
-        total += float(np.sum(log_factors(block.half_dist)))
-    return total
+    return float(_running_sums(k, n, np.array([n]))[0][0]) if n else 0.0
 
 
 def running_exponent(k: WaveNumberLike, n: int) -> float:
@@ -123,8 +117,7 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
 
     ``sample_levels`` restricts which levels are recorded (default: all of
     1 .. n_max) and must name 1 to MAX_TRACE_SAMPLES, checked before they are
-    stored; the accumulation itself always walks every level, holding one
-    block of running sums at a time.
+    stored; ``_running_sums`` walks the levels.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -146,12 +139,25 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
         raise ValueError(f"sample levels outside 1..{n_max}: {bad.tolist()}")
 
     label = k.label() if isinstance(k, DigitStream) else str(as_wave_number(k))
-    log2_f = np.empty(len(levels))
+    log2_f, extinct_at, refined = _running_sums(k, n_max, levels)
+    samples = np.rec.fromarrays((levels, log2_f, log2_f / levels), dtype=[
+        ("level", np.int64), ("log2_f", float), ("running_exponent", float)])
+    quality = ({"window": WINDOW, "near_singular_refined": refined}
+               if isinstance(k, DigitStream) else {})
+    return RieszTrace(label, samples, extinct_at, quality)
+
+
+def _running_sums(k: WaveNumberLike, n_max: int, levels: np.ndarray):
+    """(log2 f at the sorted ``levels``, extinction level or None, refined-level count).
+
+    One block of running sums at a time, up to the block in which k goes extinct.
+    """
+    log2_f = np.full(len(levels), _NEG_INF)
     extinct_at = None
     total = 0.0
     refined = 0
     for block in frac_levels(k, n_max).blocks():
-        if extinct_at is None and block.is_zero.any():
+        if block.is_zero.any():   # k is dyadic: this block is the last one walked
             extinct_at = block.start + int(np.argmax(block.is_zero))
         refined += int(np.count_nonzero(block.refined))
         # running sums in level order; a zero factor turns them into -inf for good
@@ -162,11 +168,9 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
         first = block.start + 1
         lo, hi = np.searchsorted(levels, [first, first + len(running)])
         log2_f[lo:hi] = running[levels[lo:hi] - first]
-    samples = np.rec.fromarrays((levels, log2_f, log2_f / levels),
-                                names=("level", "log2_f", "running_exponent"))
-    quality = ({"window": WINDOW, "near_singular_refined": refined}
-               if isinstance(k, DigitStream) else {})
-    return RieszTrace(label, samples, extinct_at, quality)
+        if extinct_at is not None:
+            break
+    return log2_f, extinct_at, refined
 
 
 def _grid_density(n: int, x: np.ndarray) -> np.ndarray:
@@ -213,8 +217,7 @@ def check_log_integral(nodes: int) -> float:
     """
     if nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
-    x = (np.arange(nodes) + 0.5) / nodes
-    half = np.minimum(x, 1.0 - x)
+    half = exact_quotients(2 * np.arange(nodes) + 1, 2 * nodes)[1]
     return float(np.mean(LOG2 + 2.0 * np.log(np.sin(np.pi * half))))
 
 
@@ -228,8 +231,7 @@ def check_qsum(n: int) -> tuple[float, float]:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return 0.0, 0.0
-    m = np.arange(1, n)
-    half = np.minimum(m, n - m) / n
+    half = exact_quotients(np.arange(1, n), n)[1]
     lhs = float((n - 1) * LOG2 + 2.0 * np.sum(np.log(np.sin(np.pi * half))))
     rhs = 2.0 * math.log(n) - (n - 1) * LOG2
     return lhs, rhs

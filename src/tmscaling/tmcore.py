@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .streams import DigitStream
-from .wavenumber import WaveNumberLike, as_wave_number, frac_levels
+from .wavenumber import BLOCK, WaveNumberLike, as_wave_number, frac_levels
 
 #: direct summation walks 2**n terms; 24 keeps the oracle desk-scale (16M terms)
 MAX_LEVEL = 24
@@ -73,22 +73,16 @@ class ExponentialSum:
 
 
 def _direct_fracs(m: int, den: int, count: int) -> np.ndarray:
-    """x_l = frac(l * m / den) for l = 0..count-1, exactly."""
-    if den == 1:
-        return np.zeros(count)
+    """x_l = frac(l * m / den) for l = 0..count-1, each rounded once.
+
+    l * m mod den is exact: int64 while den < 2**53 and den * count < 2**62, else Python ints.
+    """
     step = m % den
-    if den * count < (1 << 62):
-        ell = np.arange(count, dtype=np.int64)
-        return ((ell * step) % den) / float(den)
-    # large denominators (float inputs, stream truncations): plain integer
-    # walk; int / int rounds once, even where den is beyond the float range
+    fast = den < 2**53 and den * count < 2**62
     xs = np.empty(count)
-    num = 0
-    for i in range(count):
-        xs[i] = num / den
-        num += step
-        if num >= den:
-            num -= den
+    for start in range(0, count, BLOCK):
+        ell = np.arange(start, min(start + BLOCK, count), dtype=np.int64 if fast else object)
+        xs[start:start + len(ell)] = ell * step % den / den
     return xs
 
 

@@ -4,8 +4,8 @@ Every rational in [0, 1) factors uniquely as m / (2**r * q) with q odd,
 gcd(m, q) = 1 and m odd whenever r > 0.  The odd part q controls the
 asymptotics of the doubling sequence frac(2**l * k): after r initial
 levels the numerators cycle through the doubling orbit of m mod q.
-Dyadic numbers (q = 1) reach 0 exactly and stay there — these are the
-extinction points.
+Dyadic numbers (q = 1) reach 0 exactly at level r and stay there — these
+are the extinction points, read off the canonical form.
 
 ``frac_levels`` is the one place fractional parts are produced for the
 rest of the package.  It gives, per level, both the value frac(2**l k)
@@ -17,7 +17,8 @@ gives the same levels one ``FracLevel`` at a time.  Rational inputs
 ``rational-periodic`` digit streams) use exact integer arithmetic: the r
 pre-periodic numerators, then the doubling cycle of m mod q from
 ``numtheory``'s one kernel, read no further than the levels asked for
-(at most MAX_ORBIT_LENGTH residues) and tiled.  Digit streams read a
+(at most MAX_ORBIT_LENGTH residues) and tiled, each numerator divided
+once by ``numtheory.exact_quotients``.  Digit streams read a
 64-digit window per level, all windows of a block at once as ``uint64``
 integers, refined to 128 digits and flagged when the value sits within
 2**-20 of an integer.
@@ -32,7 +33,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .numtheory import _doubling_cycle
+from .numtheory import _doubling_cycle, exact_quotients
 from .streams import DigitStream
 
 #: digits a stream level reads (one uint64 per level)
@@ -70,17 +71,10 @@ class WaveNumber:
         """Canonicalise num/den: reduce, drop the integer part, split off 2**r."""
         if den == 0:
             raise ValueError("denominator must be non-zero")
-        if den < 0:
-            num, den = -num, -den
-        num %= den
-        g = math.gcd(num, den)
-        num //= g
-        den //= g
-        r = 0
-        while den % 2 == 0:
-            den //= 2
-            r += 1
-        return cls(m=num, r=r, q=den)
+        k = Fraction(num, den) % 1
+        # 2**r is the lowest set bit of the reduced denominator
+        r = (k.denominator & -k.denominator).bit_length() - 1
+        return cls(m=k.numerator, r=r, q=k.denominator >> r)
 
     @classmethod
     def parse(cls, text: str) -> "WaveNumber":
@@ -112,8 +106,7 @@ class WaveNumber:
         return WaveNumber.from_fraction(self.m, self.denominator << extra_r)
 
     def __str__(self) -> str:
-        v = self.value()
-        return f"{v.numerator}/{v.denominator}" if v.denominator > 1 else str(v.numerator)
+        return str(self.value())
 
 
 RationalLike = Union[WaveNumber, Fraction, int, float, tuple, str]
@@ -129,15 +122,10 @@ def as_wave_number(k: RationalLike) -> WaveNumber:
     """
     if isinstance(k, WaveNumber):
         return k
-    if isinstance(k, Fraction):
-        return WaveNumber.from_fraction(k.numerator, k.denominator)
-    if isinstance(k, int):
-        return WaveNumber.from_fraction(k, 1)
-    if isinstance(k, float):
-        if not math.isfinite(k):
-            raise ValueError(f"wave number must be finite, got {k}")
-        num, den = k.as_integer_ratio()
-        return WaveNumber.from_fraction(num, den)
+    if isinstance(k, float) and not math.isfinite(k):
+        raise ValueError(f"wave number must be finite, got {k}")
+    if isinstance(k, (Fraction, int, float)):
+        return WaveNumber.from_fraction(*Fraction(k).as_integer_ratio())
     if isinstance(k, tuple) and len(k) == 2:
         return WaveNumber.from_fraction(int(k[0]), int(k[1]))
     if isinstance(k, str):
@@ -151,8 +139,8 @@ class FracLevel:
 
     ``value`` is the fractional part in [0, 1); ``half_dist`` its exact
     distance to the nearest integer, in [0, 1/2].  ``is_zero`` is set only
-    when the fractional part is exactly zero (decided in integer
-    arithmetic, rational inputs only).  ``refined`` marks stream samples
+    when the fractional part is exactly zero (read off the canonical form,
+    rational inputs only).  ``refined`` marks stream samples
     that fell within 2**-20 of an integer and were re-read with a doubled
     window.
     """
@@ -225,17 +213,6 @@ def _spans(count: int) -> Iterator[tuple[int, int]]:
     return ((start, min(start + BLOCK, count)) for start in range(0, count, BLOCK))
 
 
-def _level_arrays(nums, den: int):
-    """value, half distance and zero mask of the levels with these numerators.
-
-    Like ``exponents._log_terms``, numerators are int64 below 2**53, where
-    numpy's division rounds like Python's int / int, and Python ints above.
-    """
-    x = np.asarray(nums, dtype=np.int64 if den < 2**53 else object)
-    return ((x / den).astype(float, copy=False),
-            (np.minimum(x, den - x) / den).astype(float, copy=False), x == 0)
-
-
 def _rational_blocks(wn: WaveNumber, count: int) -> Iterator[LevelBlock]:
     """Levels of m / (2**r q): r pre-periodic levels, then the doubling cycle of m mod q.
 
@@ -243,16 +220,19 @@ def _rational_blocks(wn: WaveNumber, count: int) -> Iterator[LevelBlock]:
     the cycle of m mod q, so level r + j is that cycle's residue j mod its
     length over q.  The cycle is read no further than the levels need; more
     than ``numtheory.MAX_ORBIT_LENGTH`` levels of a cycle that has not
-    closed by then raise ValueError.
+    closed by then raise ValueError.  A level is exactly 0 iff q = 1 and l >= r:
+    for l < r, 2**r q never divides m 2**l, as m is odd and coprime to q.
     """
     den, r = wn.denominator, min(wn.r, count)
     head = [(wn.m << level) % den for level in range(r)]
     # at least one residue, so that the modulus below is never 0
     cycle = _doubling_cycle(wn.m, wn.q, max(count - r, 1))
     for start, stop in _spans(count):
-        tiled = (np.arange(max(start, r), stop) - r) % len(cycle)
-        columns = zip(_level_arrays(head[start:stop], den), _level_arrays(cycle[tiled], wn.q))
-        yield LevelBlock(start, *map(np.concatenate, columns),
+        levels = np.arange(start, stop)
+        periodic = levels >= r
+        columns = zip(exact_quotients(head[start:stop], den),
+                      exact_quotients(cycle[(levels[periodic] - r) % len(cycle)], wn.q))
+        yield LevelBlock(start, *map(np.concatenate, columns), periodic & wn.is_dyadic,
                          np.zeros(stop - start, dtype=bool))
 
 
@@ -266,17 +246,6 @@ def _windows64(bits: np.ndarray, m: int, width: int) -> np.ndarray:
         x = (x[:-span] << span) | x[span:]
         span *= 2
     return x >> (64 - width)
-
-
-def _exact_level(d: int, width: int) -> tuple[float, float]:
-    """value and half distance of the width-digit window d, in exact integers.
-
-    A window of all 0s or all 1s only bounds the true distance below by
-    2**-width; it is clamped to half that rather than fabricating a zero.
-    """
-    full = 1 << width
-    half_num = min(d, full - d)
-    return d / full, (half_num / full if half_num else 0.5 / full)
 
 
 def _stream_block(stream: DigitStream, start: int, stop: int,
@@ -296,7 +265,9 @@ def _stream_block(stream: DigitStream, start: int, stop: int,
     scale = 2.0 ** -window
     value = d * scale
     half = np.minimum(d, mask - d + 1) * scale
-    for i in np.flatnonzero(refined).tolist():
-        value[i], half[i] = _exact_level(stream.window_int(start + i, 2 * window),
-                                         2 * window)
+    again = np.flatnonzero(refined)
+    value[again], wide_half = exact_quotients(
+        [stream.window_int(start + i, 2 * window) for i in again.tolist()], 1 << 2 * window)
+    # a wide window of all 0s only bounds the distance below: clamped to half that, not 0
+    half[again] = np.maximum(wide_half, 2.0 ** (-2 * window - 1))
     return LevelBlock(start, value, half, np.zeros(m, dtype=bool), refined)

@@ -118,6 +118,13 @@ class TestGfunCommand:
         assert code == 2
         assert "error" in err
 
+    def test_q_beyond_the_float_range_exits_2_naming_q(self, run_cli):
+        # 401 digits: argparse takes it, and q - 1 does not convert to a float
+        code, out, err = run_cli("gfun", "--q", str(10 ** 400 + 1))
+        assert code == 2 and out == ""
+        assert "tmscaling: error: --q: q - 1 overflows a float: q has 1329 bits" in err
+        assert "Traceback" not in err
+
 
 class TestTableCommand:
     def test_csv_shape(self, run_cli):
@@ -516,6 +523,16 @@ class TestInputBudgets:
         assert code == 2 and out == ""
         assert f"--k random:1 --nmax {n} --every {n}: " in err
         assert f"MAX_STREAM_LEVELS = {wavenumber.MAX_STREAM_LEVELS}" in err
+
+    def test_dyadic_trace_stops_at_extinction(self):
+        # 1000 recorded levels up to 10**14: the walk ends in the first block
+        argv = ["riesz-trace", "--k", "1/4", "--nmax", str(10 ** 14), "--every", str(10 ** 11)]
+        done = subprocess.run([sys.executable, "-m", "tmscaling", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and done.stderr == ""
+        lines = done.stdout.splitlines()
+        assert lines[1:4] == ["# wave_number = 1/4", "# extinct_at = 2", riesz.TRACE_CSV_HEADER]
+        assert lines[4:] == [f"{n * 10 ** 11},-inf,-inf" for n in range(1, 1001)]
 
     def test_digits_above_17_exit_2(self, run_cli):
         code, out, err = run_cli("exponent", "--k", "1/3", "--digits", "100000000000")

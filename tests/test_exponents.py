@@ -188,6 +188,14 @@ class TestGClosedForm:
             with pytest.raises(ValueError):
                 g_closed_form(bad)
 
+    def test_q_beyond_the_float_range_raises_value_error(self):
+        # the largest q whose q - 1 is a float keeps the closed form; past it, ValueError
+        for q in (10 ** 300 + 1, 2 ** 1023 + 1, 2 ** 1024 - 2 ** 970 - 1):
+            assert g_closed_form(q) == 2.0 * math.log2(q) / float(q - 1) - 1.0
+        for q in (2 ** 1024 - 2 ** 970 + 1, 2 ** 1024 + 1, 10 ** 400 + 1):
+            with pytest.raises(ValueError, match=r"q - 1 overflows a float: q has \d+ bits"):
+                g_closed_form(q)
+
     def test_sign_change_after_5(self):
         assert g_closed_form(3) > 0
         assert g_closed_form(5) > 0

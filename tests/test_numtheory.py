@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -225,3 +226,24 @@ def test_doubling_cycle_is_the_plain_walk(q, shared, p, limit, step, head):
     with mock.patch.object(numtheory, "_STEP", step), mock.patch.object(numtheory, "_HEAD", head):
         got = numtheory._doubling_cycle(p, q, limit)
     assert got.tolist() == plain_cycle(p, q, limit)
+
+
+# residues below and above the int64 / object switch at 2**53, and moduli
+# beyond the float range, where only Python's int / int rounds once
+@settings(max_examples=200, deadline=None)
+@given(q=st.one_of(st.integers(1, 2**53 - 1), st.integers(2**53, 2**70),
+                   st.integers(2**1100, 2**1100 + 2**80)),
+       picks=st.lists(st.integers(0, 2**1200), max_size=20))
+def test_exact_quotients_round_each_fraction_once(q, picks):
+    nums = [p % (q + 1) for p in picks] + [0, q, q // 2, q - 1]
+    value, half = numtheory.exact_quotients(nums, q)
+    assert value.dtype == half.dtype == np.float64
+    assert value.tolist() == [float(Fraction(n, q)) for n in nums]
+    assert half.tolist() == [float(Fraction(min(n, q - n), q)) for n in nums]
+
+
+def test_exact_quotients_keep_the_shape_of_a_residue_table():
+    rows = coset_decomposition(9).unit_orbits
+    value, half = numtheory.exact_quotients(rows, 9)
+    assert value.shape == half.shape == rows.shape
+    assert half[0].tolist() == [1 / 9, 2 / 9, 4 / 9, 1 / 9, 2 / 9, 4 / 9]

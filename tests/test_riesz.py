@@ -7,9 +7,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from tmscaling import cli, riesz
+from tmscaling import cli, riesz, wavenumber
 from tmscaling.riesz import (
     RieszTrace,
     check_log_integral,
@@ -22,6 +22,7 @@ from tmscaling.riesz import (
 )
 from tmscaling.serialize import csv_lines, format_float, json_number, json_rows
 from tmscaling.tmcore import exp_sum_recursive
+from tmscaling.wavenumber import FracLevels, frac_levels
 
 from conftest import log2_factor_oracle
 
@@ -134,6 +135,19 @@ class TestRunningExponent:
         with pytest.raises(ValueError):
             running_exponent(Fraction(1, 3), 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(num=st.integers(-10 ** 12, 10 ** 12), den=st.integers(1, 2 ** 70),
+           r=st.integers(0, 12), n=st.integers(1, 400))
+    def test_is_the_trace_value_bit_for_bit(self, num, den, r, n):
+        # dyadic k included: den = 1 leaves 2**r
+        k = Fraction(num, den << r)
+        assert running_exponent(k, n).hex() == trace(k, n).final_running_exponent.hex()
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 16384, 16385, 40000])
+    def test_is_the_trace_value_bit_for_bit_on_a_random_stream(self, n):
+        stream = cli.parse_stream_spec("random:5")
+        assert running_exponent(stream, n).hex() == trace(stream, n).final_running_exponent.hex()
+
 
 class TestTrace:
     def test_extinction_marker(self):
@@ -142,6 +156,26 @@ class TestTrace:
         finite = [s for s in tr.samples if s.level <= 2]
         assert all(math.isfinite(s.log2_f) for s in finite)
         assert all(s.log2_f == NEG_INF for s in tr.samples if s.level > 2)
+
+    def test_dyadic_traces_stop_after_the_extinct_block(self, monkeypatch):
+        walked = []
+
+        def recording(k, count):
+            # five blocks at most, so that a trace which walked on cannot hang here
+            blocks = itertools.islice(frac_levels(k, count).blocks(), 5)
+            return FracLevels(lambda: (walked.append(b.start) or b for b in blocks))
+
+        monkeypatch.setattr(wavenumber, "BLOCK", 4)
+        monkeypatch.setattr(riesz, "frac_levels", recording)
+        tr = trace(Fraction(3, 2 ** 9), 10 ** 14, sample_levels=[5, 9, 10, 10 ** 14])
+        assert walked == [0, 4, 8]
+        assert tr.extinct_at == 9
+        assert math.isfinite(tr.samples.log2_f[1])
+        assert tr.samples.log2_f.tolist()[2:] == [NEG_INF, NEG_INF]
+        assert tr.samples.running_exponent.tolist()[2:] == [NEG_INF, NEG_INF]
+        walked.clear()
+        assert partial_product_log(Fraction(3, 2 ** 9), 10 ** 14) == NEG_INF
+        assert walked == [0, 4, 8]
 
     def test_extinction_level_zero_for_integer(self):
         tr = trace(Fraction(0, 1), 3)
@@ -255,6 +289,14 @@ class TestRowTemplate:
         expected = [{"n": n, "log2_f": json_number(v, digits),
                      "running_exponent": json_number(r, digits)} for n, v, r in rows]
         assert json.dumps(json_rows(header, rows, digits)) == json.dumps(expected)
+
+    def test_json_cells_follow_json_number_at_the_edge_of_the_float_range(self):
+        # the largest double at one digit reads back as inf, a float; only
+        # non-finite inputs stay text
+        rows = [(1, 1.7976931348623157e308, -math.inf), (2, 0.5, math.nan)]
+        assert json_rows("n,a,b", rows, 1) == [{"n": 1, "a": math.inf, "b": "-inf"},
+                                               {"n": 2, "a": 0.5, "b": "nan"}]
+        assert json_number(1.7976931348623157e308, 1) == math.inf
 
     @given(x=ANY_FLOAT | EDGE_FLOATS, digits=st.integers(1, 17))
     def test_format_float_matches_per_value_rendering(self, x, digits):

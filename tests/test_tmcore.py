@@ -2,11 +2,13 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tmscaling import tmcore
 from tmscaling.tmcore import exp_sum_direct, exp_sum_recursive, tm_word
 
 
@@ -170,3 +172,22 @@ def test_magnitude_bound():
         k = rng.random()
         n = rng.randrange(0, 12)
         assert exp_sum_recursive(n, k).magnitude_sq <= 4.0 ** n * (1 + 1e-12)
+
+
+def test_direct_phases_round_once_above_2_to_53():
+    # an odd den >= 2**53 with den * count < 2**62: float(den) and the float of
+    # the numerator each round, and their quotient rounds a third time
+    m, den = 2 ** 59 + 12345, 2 ** 60 - 93
+    x = tmcore._direct_fracs(m, den, 4)
+    assert x[3] == float(Fraction(3 * m % den, den)) == 0.5000000000000322
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(0, 2 ** 80),
+       den=st.one_of(st.integers(1, 2 ** 40), st.integers(2 ** 52, 2 ** 54),
+                     st.integers(2 ** 58, 2 ** 62), st.integers(2 ** 62, 2 ** 80)),
+       count=st.integers(0, 300), block=st.integers(1, 64))
+def test_direct_phases_are_exact_fractions(m, den, count, block):
+    with mock.patch.object(tmcore, "BLOCK", block):
+        x = tmcore._direct_fracs(m, den, count)
+    assert x.tolist() == [float(Fraction(l * m % den, den)) for l in range(count)]

@@ -1,6 +1,7 @@
 """The array level kernel against a scalar reference in exact Fractions."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from tmscaling import numtheory, wavenumber
 from tmscaling.riesz import trace
 from tmscaling.streams import DigitStream, flipped, random_bits, rational_periodic
-from tmscaling.wavenumber import FracLevel, frac_levels
+from tmscaling.wavenumber import FracLevel, WaveNumber, as_wave_number, frac_levels
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -220,3 +221,79 @@ def test_stream_levels_above_the_budget_raise_before_any_digit(monkeypatch):
     # rationals, rational-periodic streams included, walk levels without a stream budget
     assert len(kernel(rational_periodic(1, 3), 1000)) == 1000
     assert len(kernel(Fraction(1, 3), 1000)) == 1000
+
+
+def halving_canonical(num: int, den: int) -> tuple[int, int, int]:
+    """(m, r, q) the long way: fix the sign, reduce mod 1 and by the gcd, halve den."""
+    if den < 0:
+        num, den = -num, -den
+    num %= den
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    r = 0
+    while den % 2 == 0:
+        den //= 2
+        r += 1
+    return num, r, den
+
+
+def fields(wn: WaveNumber) -> tuple[int, int, int]:
+    return wn.m, wn.r, wn.q
+
+
+@SETTINGS
+@given(num=st.integers(-2 ** 80, 2 ** 80), den=st.integers(-2 ** 80, 2 ** 80).filter(bool),
+       r=st.integers(0, 200))
+def test_from_fraction_matches_the_halving_loop(num, den, r):
+    wn = WaveNumber.from_fraction(num, den << r)
+    assert fields(wn) == halving_canonical(num, den << r)
+    value = Fraction(num, den << r) % 1
+    assert str(wn) == (f"{value.numerator}/{value.denominator}" if value.denominator > 1
+                       else str(value.numerator))
+
+
+@pytest.mark.parametrize("r", [0, 1, 52, 53, 64, 1000, 10_000])
+def test_from_fraction_splits_off_long_dyadic_powers(r):
+    den = 3 << r
+    for num in (1, -1, 5, 6, -(den + 5), 2 ** (r + 3) + 1, den):
+        for sign in (1, -1):
+            assert fields(WaveNumber.from_fraction(num, sign * den)) == \
+                halving_canonical(num, sign * den)
+
+
+def test_from_fraction_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="denominator must be non-zero"):
+        WaveNumber.from_fraction(1, 0)
+
+
+@SETTINGS
+@given(x=st.floats(-1e300, 1e300, allow_subnormal=True))
+def test_floats_ints_and_fractions_share_one_route(x):
+    wn = as_wave_number(x)
+    assert fields(wn) == halving_canonical(*x.as_integer_ratio())
+    assert as_wave_number(Fraction(x)) == wn
+    assert as_wave_number(math.floor(x)) == WaveNumber(0, 0, 1)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_floats_are_rejected(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        as_wave_number(bad)
+
+
+def test_other_types_are_rejected():
+    with pytest.raises(TypeError, match="cannot interpret list"):
+        as_wave_number([1, 3])
+
+
+@SETTINGS
+@given(m=st.integers(-2 ** 40, 2 ** 40), r=st.integers(0, 40),
+       q=st.sampled_from([1, 1, 1, 3, 5, 9, 2 ** 31 - 1]), count=st.integers(1, 120),
+       size=st.integers(1, 64), stream=st.booleans())
+def test_rational_levels_are_zero_exactly_where_the_fraction_is(m, r, q, count, size, stream):
+    # dyadic k (q = 1) go extinct at level r; rational-periodic streams take the same path
+    k = Fraction(m, q << r)
+    source = rational_periodic(m, q << r) if stream else k
+    with small_blocks(size):
+        zero = [z for b in frac_levels(source, count).blocks() for z in b.is_zero.tolist()]
+    assert zero == [Fraction(2 ** level * k) % 1 == 0 for level in range(count)]
