@@ -203,7 +203,10 @@ def _riesz_trace(args):
 
 def _weyl(args):
     stream = parse_stream_spec(args.stream)
-    report = expansions.weyl_diagnostics(stream, args.samples, args.harmonics)
+    try:
+        report = expansions.weyl_diagnostics(stream, args.samples, args.harmonics)
+    except ValueError as exc:   # a rational level below the float range, or a long orbit
+        raise ValueError(f"--stream {args.stream}: {exc}") from None
     if args.format == "json":
         return {"stream": report.stream, "samples": report.samples,
                 "harmonics": report.harmonics,

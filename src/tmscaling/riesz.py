@@ -117,7 +117,8 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
 
     ``sample_levels`` restricts which levels are recorded (default: all of
     1 .. n_max) and must name 1 to MAX_TRACE_SAMPLES, checked before they are
-    stored; ``_running_sums`` walks the levels.
+    stored; ``_running_sums`` walks the levels.  A rational k whose label
+    passes Python's int-to-str limit raises ValueError before any level.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -138,7 +139,15 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
     if bad.size:
         raise ValueError(f"sample levels outside 1..{n_max}: {bad.tolist()}")
 
-    label = k.label() if isinstance(k, DigitStream) else str(as_wave_number(k))
+    if isinstance(k, DigitStream):
+        label = k.label()
+    else:
+        wn = as_wave_number(k)
+        try:
+            label = str(wn)
+        except ValueError:      # an integer longer than sys.get_int_max_str_digits()
+            raise ValueError(f"k with a {wn.denominator.bit_length()}-bit denominator "
+                             f"has too many digits to print") from None
     log2_f, extinct_at, refined = _running_sums(k, n_max, levels)
     samples = np.rec.fromarrays((levels, log2_f, log2_f / levels), dtype=[
         ("level", np.int64), ("log2_f", float), ("running_exponent", float)])

@@ -5,6 +5,8 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
 # tests that run `python -m tmscaling` in a child process need the package
 # on PYTHONPATH too; pyproject's pythonpath only reaches this process
@@ -60,6 +62,15 @@ def brute_prime_factors(n: int) -> list[int]:
 def log2_factor_oracle(x: float) -> float:
     """Direct log2(1 - cos(2 pi x)) without the 2 sin^2 rewrite."""
     return math.log2(1.0 - math.cos(2.0 * math.pi * x))
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's default int-to-str limit of 4300 digits, whatever the environment sets."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
 
 
 _acceptance_results: dict[str, str] = {}

@@ -478,13 +478,6 @@ class TestInputBudgets:
         assert code == 0
         assert "= 1/(2^10000 * 3)" in out
 
-    @pytest.fixture
-    def int_str_limit(self):
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        yield
-        sys.set_int_max_str_digits(saved)
-
     def test_k_too_long_to_print_exits_2_naming_k_and_r(self, run_cli, int_str_limit):
         # 2**10000 * q has 3011 + 1300 digits, past the 4300-digit limit
         k = f"1/{10**1299 + 1}"
@@ -492,6 +485,25 @@ class TestInputBudgets:
         assert code == 2 and out == ""
         assert f"--k {k} --r 10000: k has too many digits to print" in err
         assert "Exceeds the limit" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("riesz-trace", "--k", f"1/{3 * 2**2000}", "--nmax", "3"), "--k"),
+        (("riesz-trace", "--k", "5e-324", "--nmax", "3"), "--k"),
+        (("riesz-trace", "--k", "1.1125369292536007e-308", "--nmax", "3"), "--k"),  # 2**-1023
+        (("weyl", "--stream", f"rational:1/{3 * 2**2000}", "--samples", "3"), "--stream"),
+    ])
+    def test_levels_below_the_float_range_exit_2_naming_the_flag(self, run_cli, argv, flag):
+        # no normal float holds the distance of level 0, so no log factor may be printed
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"tmscaling: error: {flag} {argv[2]}")
+        assert "-bit denominator comes within 2**-1022 of an integer at level 0" in err
+
+    def test_levels_at_the_edge_of_the_float_range_are_printed(self, run_cli):
+        code, out, err = run_cli("riesz-trace", "--k", "2.2250738585072014e-308",  # 2**-1022
+                                 "--nmax", "3")
+        assert code == 0 and err == ""
+        assert "inf" not in out and "nan" not in out
 
     def test_trace_samples_above_the_budget_exit_2_naming_nmax_and_every(self, run_cli,
                                                                           monkeypatch):

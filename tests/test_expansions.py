@@ -3,9 +3,11 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tmscaling import cli
+from tmscaling import cli, expansions, wavenumber
 from tmscaling.expansions import (
     frac_pow2,
     mixed_exponent_trace,
@@ -16,6 +18,7 @@ from tmscaling.expansions import (
 from tmscaling.riesz import partial_product_log, running_exponent, trace
 from tmscaling.streams import (PowersOfTwo, block_ends, block_mixed, flipped, random_bits,
                                rational_periodic)
+from tmscaling.wavenumber import frac_levels
 
 LOG2_3_HALVES = math.log2(1.5)
 
@@ -132,6 +135,43 @@ class TestWeylDiagnostics:
             weyl_diagnostics(random_bits(0), 0, 1)
         with pytest.raises(ValueError):
             weyl_diagnostics(random_bits(0), 10, 0)
+
+    @staticmethod
+    def assert_moduli_match_per_harmonic_exps(stream, samples, harmonics):
+        # the direct sums: one np.exp per harmonic, over the same levels
+        sums = np.zeros(harmonics, dtype=complex)
+        for block in frac_levels(stream, samples).blocks():
+            for h in range(1, harmonics + 1):
+                sums[h - 1] += np.exp((2j * np.pi * h) * block.value).sum()
+        oracle = np.abs(sums / samples)
+        moduli = np.array(weyl_diagnostics(stream, samples, harmonics).weyl_moduli)
+        # the recurrence's rounding grows with the harmonic
+        assert np.all(np.abs(moduli - oracle) <= 1e-15 * np.arange(1, harmonics + 1))
+
+    # up to 40 000 samples, so that some cases cross a block boundary (BLOCK = 16384)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), samples=st.integers(1, 40_000),
+           harmonics=st.integers(1, 64))
+    def test_recurrence_matches_per_harmonic_exps(self, seed, samples, harmonics):
+        self.assert_moduli_match_per_harmonic_exps(random_bits(seed), samples, harmonics)
+
+    @pytest.mark.parametrize("spec", ["rational:1/3", "flipped:1/5:0"])
+    def test_recurrence_matches_per_harmonic_exps_on_structured_streams(self, spec):
+        self.assert_moduli_match_per_harmonic_exps(cli.parse_stream_spec(spec), 70_000, 64)
+
+    @pytest.mark.parametrize("spec", ["random:1", "rational:3/11"])
+    @pytest.mark.parametrize("harmonics", [1, 2, 64])
+    def test_one_exp_per_block_for_any_harmonics(self, monkeypatch, spec, harmonics):
+        calls, np_exp = [], np.exp
+
+        def counting_exp(*args, **kwargs):
+            calls.append(1)
+            return np_exp(*args, **kwargs)
+
+        monkeypatch.setattr(wavenumber, "BLOCK", 64)
+        monkeypatch.setattr(expansions.np, "exp", counting_exp)
+        weyl_diagnostics(cli.parse_stream_spec(spec), 3 * 64 + 1, harmonics)
+        assert len(calls) == 4   # blocks of 64, 64, 64 and 1 levels
 
 
 class TestStreamTracesMatchRationals:

@@ -177,6 +177,15 @@ class TestTrace:
         assert partial_product_log(Fraction(3, 2 ** 9), 10 ** 14) == NEG_INF
         assert walked == [0, 4, 8]
 
+    def test_k_too_long_to_print_raises_without_the_raw_limit_text(self, int_str_limit):
+        # 3 << 20000 has 6022 digits; the levels of k themselves are all computable
+        k = Fraction(1, 3) + Fraction(1, 3 << 20000)
+        with pytest.raises(ValueError, match="20002-bit denominator has too many digits "
+                                             "to print") as exc:
+            trace(k, 5)
+        assert "Exceeds the limit" not in str(exc.value)
+        assert partial_product_log(k, 5) == pytest.approx(5 * LOG2_3_HALVES)
+
     def test_extinction_level_zero_for_integer(self):
         tr = trace(Fraction(0, 1), 3)
         assert tr.extinct_at == 0
