@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import riesz
-from .riesz import RieszTrace, log_factors
+from .riesz import RieszTrace, block_log_factors
 from .streams import (DigitStream, PowersOfTwo, block_ends, block_mixed, flipped,
                       rational_periodic)
 from .wavenumber import BLOCK, WINDOW, RationalLike, as_wave_number, frac_levels
@@ -92,7 +92,7 @@ def weyl_diagnostics(stream: DigitStream, samples: int, harmonics: int) -> WeylR
         for h in range(1, harmonics):
             power *= first
             sums[h] += power.sum()
-        log_sum += float(np.sum(log_factors(block.half_dist)))
+        log_sum += float(np.sum(block_log_factors(block)))
         refined += int(np.count_nonzero(block.refined))
     moduli = [float(abs(s / samples)) for s in sums]
     return WeylReport(

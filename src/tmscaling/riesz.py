@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from .numtheory import exact_quotients
 from .serialize import csv_lines
 from .streams import DigitStream
-from .wavenumber import WINDOW, WaveNumberLike, as_wave_number, frac_levels
+from .wavenumber import WINDOW, LevelBlock, WaveNumberLike, as_wave_number, frac_levels
 
 LOG2 = math.log(2.0)
 _NEG_INF = float("-inf")
@@ -63,6 +64,19 @@ def log_factors(half_dist: np.ndarray) -> np.ndarray:
     """``log_factor_from_half_dist`` elementwise: -inf where the distance is 0."""
     with np.errstate(divide="ignore"):
         return 1.0 + 2.0 * np.log2(np.sin(np.pi * half_dist))
+
+
+def block_log_factors(block: LevelBlock) -> np.ndarray:
+    """``log_factors`` of a level block: -inf only where the level is exactly 0.
+
+    A non-zero level closer than 2**-1022 to an integer raises ValueError: its
+    exact distance would lose bits as a subnormal, or round to 0.0 and give -inf.
+    """
+    lost = np.flatnonzero((block.half_dist < sys.float_info.min) & ~block.is_zero)
+    if lost.size:
+        raise ValueError(f"level {block.start + lost[0]} of k comes within 2**-1022 of an "
+                         f"integer without reaching it, below the normal float range")
+    return log_factors(block.half_dist)
 
 
 def partial_product_log(k: WaveNumberLike, n: int) -> float:
@@ -170,7 +184,7 @@ def _running_sums(k: WaveNumberLike, n_max: int, levels: np.ndarray):
             extinct_at = block.start + int(np.argmax(block.is_zero))
         refined += int(np.count_nonzero(block.refined))
         # running sums in level order; a zero factor turns them into -inf for good
-        steps = log_factors(block.half_dist)
+        steps = block_log_factors(block)
         steps[0] += total
         running = np.cumsum(steps)
         total = float(running[-1])

@@ -27,7 +27,6 @@ integers, refined to 128 digits and flagged when the value sits within
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Union
@@ -222,9 +221,7 @@ def _rational_blocks(wn: WaveNumber, count: int) -> Iterator[LevelBlock]:
     length over q.  The cycle is read no further than the levels need; more
     than ``numtheory.MAX_ORBIT_LENGTH`` levels of a cycle that has not
     closed by then raise ValueError.  A level is exactly 0 iff q = 1 and l >= r:
-    for l < r, 2**r q never divides m 2**l, as m is odd and coprime to q.  A
-    non-zero level closer than 2**-1022 to an integer raises ValueError: its
-    distance would lose bits as a subnormal or round to 0.0, a log factor of -inf.
+    for l < r, 2**r q never divides m 2**l, as m is odd and coprime to q.
     """
     den, r = wn.denominator, min(wn.r, count)
     head = [(wn.m << level) % den for level in range(r)]
@@ -235,14 +232,8 @@ def _rational_blocks(wn: WaveNumber, count: int) -> Iterator[LevelBlock]:
         periodic = levels >= r
         columns = zip(exact_quotients(head[start:stop], den),
                       exact_quotients(cycle[(levels[periodic] - r) % len(cycle)], wn.q))
-        value, half = map(np.concatenate, columns)
-        is_zero = periodic & wn.is_dyadic
-        lost = np.flatnonzero((half < sys.float_info.min) & ~is_zero)
-        if lost.size:
-            raise ValueError(f"k with a {den.bit_length()}-bit denominator comes within "
-                             f"2**-1022 of an integer at level {start + lost[0]}, "
-                             f"below the normal float range")
-        yield LevelBlock(start, value, half, is_zero, np.zeros(stop - start, dtype=bool))
+        yield LevelBlock(start, *map(np.concatenate, columns), periodic & wn.is_dyadic,
+                         np.zeros(stop - start, dtype=bool))
 
 
 def _windows64(bits: np.ndarray, m: int, width: int) -> np.ndarray:

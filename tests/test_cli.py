@@ -497,7 +497,7 @@ class TestInputBudgets:
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
         assert err.startswith(f"tmscaling: error: {flag} {argv[2]}")
-        assert "-bit denominator comes within 2**-1022 of an integer at level 0" in err
+        assert "level 0 of k comes within 2**-1022 of an integer without reaching it" in err
 
     def test_levels_at_the_edge_of_the_float_range_are_printed(self, run_cli):
         code, out, err = run_cli("riesz-trace", "--k", "2.2250738585072014e-308",  # 2**-1022

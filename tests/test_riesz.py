@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmscaling import cli, riesz, wavenumber
+from tmscaling.expansions import weyl_diagnostics
 from tmscaling.riesz import (
     RieszTrace,
     check_log_integral,
@@ -21,6 +24,7 @@ from tmscaling.riesz import (
     trace,
 )
 from tmscaling.serialize import csv_lines, format_float, json_number, json_rows
+from tmscaling.streams import rational_periodic
 from tmscaling.tmcore import exp_sum_recursive
 from tmscaling.wavenumber import FracLevels, frac_levels
 
@@ -185,6 +189,35 @@ class TestTrace:
             trace(k, 5)
         assert "Exceeds the limit" not in str(exc.value)
         assert partial_product_log(k, 5) == pytest.approx(5 * LOG2_3_HALVES)
+
+    def test_levels_at_the_edge_of_the_float_range_are_traced(self):
+        # distances of 2**-1022 (the smallest normal float) and 4/3 of it
+        for k in (Fraction(sys.float_info.min), Fraction(1, 3 << 1020)):
+            assert trace(k, 1).samples.log2_f[0] == 1 + 2 * math.log2(
+                math.sin(math.pi * float(k)))
+
+    @pytest.mark.parametrize("k, level", [
+        (Fraction(sys.float_info.min) / 2, 0),           # 2**-1023, a subnormal
+        (Fraction(1, 3 << 1021), 0),                     # 2/3 of 2**-1022
+        (Fraction(5e-324), 0),                           # the smallest subnormal
+        (Fraction(1, 3 * 2**2000), 0),                   # rounds to 0.0
+        (1 - Fraction(1, 1 << 1030), 0),                 # close to 1, not to 0
+        (Fraction(1, 2) + Fraction(1, 1 << 1030), 1),    # level 0 is 1/2 away
+        (Fraction(1, 2**1023 + 1), 0),                   # in the doubling cycle, r = 0
+    ])
+    def test_levels_below_the_float_range_raise(self, k, level):
+        # a subnormal distance loses bits, and one that rounds to 0.0 gives a log factor of -inf
+        message = re.escape(f"level {level} of k comes within 2**-1022 of an integer "
+                            f"without reaching it")
+        stream = rational_periodic(k.numerator, k.denominator)
+        for walk in (lambda: trace(k, 3), lambda: trace(stream, 3),
+                     lambda: weyl_diagnostics(stream, 3, 1)):
+            with pytest.raises(ValueError, match=message):
+                walk()
+        # the levels themselves stay exact: exponential sums take them as they are
+        (block,) = frac_levels(k, 3).blocks()
+        fracs = [(k * 2 ** n) % 1 for n in range(3)]
+        assert block.half_dist.tolist() == [float(min(x, 1 - x)) for x in fracs]
 
     def test_extinction_level_zero_for_integer(self):
         tr = trace(Fraction(0, 1), 3)

@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmscaling import numtheory, wavenumber
-from tmscaling.riesz import partial_product_log, trace
+from tmscaling.riesz import trace
 from tmscaling.streams import DigitStream, flipped, random_bits, rational_periodic
 from tmscaling.wavenumber import FracLevel, WaveNumber, as_wave_number, frac_levels
 
@@ -209,32 +208,6 @@ def test_a_ladder_longer_than_the_orbit_budget_raises(monkeypatch):
         trace(rational_periodic(1, 8 * 257), 100)
     k = Fraction(1, 8 * 127)   # a closed orbit of 7 residues is tiled as far as wanted
     assert kernel(k, 1000) == reference_rational(k, 1000)
-
-
-def test_levels_at_the_edge_of_the_float_range_are_kept():
-    # distances of 2**-1022 (the smallest normal float) and 4/3 of it
-    for k in (Fraction(sys.float_info.min), Fraction(1, 3 << 1020)):
-        assert kernel(k, 3) == reference_rational(k, 3)
-        assert partial_product_log(k, 1) == 1 + 2 * math.log2(math.sin(math.pi * float(k)))
-
-
-@pytest.mark.parametrize("k, level", [
-    (Fraction(sys.float_info.min) / 2, 0),           # 2**-1023, a subnormal
-    (Fraction(1, 3 << 1021), 0),                     # 2/3 of 2**-1022
-    (Fraction(5e-324), 0),                           # the smallest subnormal
-    (Fraction(1, 3 * 2**2000), 0),                   # rounds to 0.0
-    (1 - Fraction(1, 1 << 1030), 0),                 # close to 1, not to 0
-    (Fraction(1, 2) + Fraction(1, 1 << 1030), 1),    # level 0 is 1/2 away
-    (Fraction(1, 2**1023 + 1), 0),                   # in the doubling cycle, r = 0
-])
-def test_levels_below_the_float_range_raise(k, level):
-    # their distance would round to a subnormal or to 0.0, and the log factor to -inf
-    bits = k.denominator.bit_length()
-    with pytest.raises(ValueError, match=rf"k with a {bits}-bit denominator comes within "
-                                         rf"2\*\*-1022 of an integer at level {level},"):
-        kernel(k, 3)
-    with pytest.raises(ValueError, match="below the normal float range"):
-        trace(rational_periodic(k.numerator, k.denominator), 3)
 
 
 def test_stream_levels_above_the_budget_raise_before_any_digit(monkeypatch):
