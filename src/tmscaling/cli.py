@@ -8,7 +8,9 @@ the json, and writes json in batches of encoder chunks.  The invocation
 is built from the parsed arguments and names every option of the verb,
 so any output file can be regenerated from its header alone.  Data goes
 to stdout, diagnostics to stderr.  Exit codes: 0 success, 2
-usage/validation error, 3 numeric identity check outside tolerance.
+usage/validation error, 3 numeric identity check outside tolerance.  A
+value argparse accepts but a verb refuses prints "tmscaling: error: <the
+verb's options>: <reason>"; ``main`` is the only place that writes it.
 Table and figure output is deterministic: the same arguments always
 print the same bytes.
 """
@@ -33,15 +35,15 @@ PROG = "tmscaling"
 _ORBIT_SLICE = 65536
 
 
-def _invocation(args: argparse.Namespace) -> str:
-    """The command line that reruns ``args``: every option of the verb, in parser order.
+def _options(args: argparse.Namespace, *omit: str) -> str:
+    """The verb's options as '--flag value' pairs, in parser order, less ``omit``.
 
     A value that starts with '-' is attached with '=' so that it is not
     read back as a flag.
     """
-    parts = [PROG, args.verb]
+    parts = []
     for dest, value in vars(args).items():
-        if dest in ("verb", "func"):
+        if dest in ("verb", "func", *omit):
             continue
         flag = "--" + dest.replace("_", "-")
         text = shlex.quote(str(value))
@@ -102,11 +104,8 @@ def _exponent(args):
     try:
         canonical = f"{wn} = {wn.m}/(2^{wn.r} * {wn.q})"
     except ValueError:      # an integer longer than sys.get_int_max_str_digits()
-        raise ValueError(f"--k {args.k} --r {args.r}: k has too many digits to print") from None
-    try:
-        result = exponents.beta_rational(wn)
-    except ValueError as exc:   # the orbit is longer than the budget
-        raise ValueError(f"--k {args.k}: {exc}") from None
+        raise ValueError("k has too many digits to print") from None
+    result = exponents.beta_rational(wn)
     d = result.diagnostics
     if args.format == "json":
         value = {} if result.is_extinct else {"value": json_number(result.value, args.digits)}
@@ -136,10 +135,7 @@ def _exponent(args):
 
 
 def _gfun(args):
-    try:
-        row = [(args.q, exponents.g_closed_form(args.q))]
-    except ValueError as exc:   # q beyond the float range
-        raise ValueError(f"--q: {exc}") from None
+    row = [(args.q, exponents.g_closed_form(args.q))]
     if args.format == "json":
         return json_rows("q,g_q", row, args.digits)[0]
     if args.format == "csv":
@@ -186,14 +182,9 @@ def _trace_output(fmt: str, digits: int, tr: riesz.RieszTrace, text: list[str], 
 
 def _riesz_trace(args):
     if args.every > args.nmax:
-        raise ValueError(f"--every {args.every} is larger than --nmax {args.nmax}, "
-                         f"so no level would be recorded")
-    target = _parse_trace_target(args.k)
+        raise ValueError("--every is larger than --nmax, so no level would be recorded")
     levels = range(args.every, args.nmax + 1, args.every)
-    try:
-        tr = riesz.trace(target, args.nmax, sample_levels=levels)
-    except ValueError as exc:   # more levels than the orbit or the sample budget
-        raise ValueError(f"--k {args.k} --nmax {args.nmax} --every {args.every}: {exc}") from None
+    tr = riesz.trace(_parse_trace_target(args.k), args.nmax, sample_levels=levels)
     text = [f"wave_number = {tr.wave_number}"]
     if tr.extinct_at is not None:
         text.append(f"extinct_at = {tr.extinct_at}")
@@ -203,10 +194,7 @@ def _riesz_trace(args):
 
 def _weyl(args):
     stream = parse_stream_spec(args.stream)
-    try:
-        report = expansions.weyl_diagnostics(stream, args.samples, args.harmonics)
-    except ValueError as exc:   # a rational level below the float range, or a long orbit
-        raise ValueError(f"--stream {args.stream}: {exc}") from None
+    report = expansions.weyl_diagnostics(stream, args.samples, args.harmonics)
     if args.format == "json":
         return {"stream": report.stream, "samples": report.samples,
                 "harmonics": report.harmonics,
@@ -396,22 +384,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # before Python 3.12, argparse parses "--flag=--" to [] without calling its type
+    empty = next((dest for dest, value in vars(args).items() if value == []), None)
+    if empty:
+        parser.error(f"argument --{empty.replace('_', '-')}: expected one argument")
     try:
         out = args.func(args)
-    except ValueError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
+    except ValueError as exc:   # the one refusal after argparse: name the verb's options
+        print(f"{PROG}: error: {_options(args, 'format', 'digits')}: {exc}", file=sys.stderr)
         return 2
     out, code = out if isinstance(out, tuple) else (out, 0)
+    invocation = f"{PROG} {args.verb} {_options(args)}"
     if isinstance(out, dict):
-        chunks = json.JSONEncoder(indent=2).iterencode({"invocation": _invocation(args), **out})
+        chunks = json.JSONEncoder(indent=2).iterencode({"invocation": invocation, **out})
         while batch := "".join(itertools.islice(chunks, _ORBIT_SLICE)):
             sys.stdout.write(batch)
         sys.stdout.write("\n")
     else:
-        sys.stdout.write("\n".join([f"# {_invocation(args)}", *out, ""]))
+        sys.stdout.write("\n".join([f"# {invocation}", *out, ""]))
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

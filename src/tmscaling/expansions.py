@@ -132,8 +132,6 @@ def mixed_exponent_trace(stream_a: DigitStream, stream_b: DigitStream,
     extremes over those checkpoints, the finite stand-in for the limit
     points of the (non-convergent) exponent sequence.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     mixed = block_mixed(stream_a, stream_b, growth=growth)
     ends = itertools.takewhile(lambda end: end <= n_max, block_ends(growth))
     tr = riesz.trace(mixed, n_max, sample_levels={*ends, n_max})

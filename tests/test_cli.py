@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import shlex
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmscaling import cli, exponents, numtheory, riesz, streams, wavenumber
 from tmscaling.cli import main
@@ -122,7 +125,8 @@ class TestGfunCommand:
         # 401 digits: argparse takes it, and q - 1 does not convert to a float
         code, out, err = run_cli("gfun", "--q", str(10 ** 400 + 1))
         assert code == 2 and out == ""
-        assert "tmscaling: error: --q: q - 1 overflows a float: q has 1329 bits" in err
+        assert (f"tmscaling: error: --q {10 ** 400 + 1}: q - 1 overflows a float: "
+                "q has 1329 bits") in err
         assert "Traceback" not in err
 
 
@@ -190,7 +194,7 @@ class TestTraceCommand:
         code, out, err = run_cli("riesz-trace", "--k", "1/3", "--nmax", "5", "--every", "10")
         assert code == 2
         assert out == ""
-        assert "--every 10 is larger than --nmax 5" in err
+        assert "--nmax 5 --every 10: --every is larger than --nmax" in err
 
     def test_stream_target(self, run_cli):
         code, out, _ = run_cli("riesz-trace", "--k", "random:3", "--nmax", "8",
@@ -460,6 +464,70 @@ class TestArgumentValidation:
         assert code == 2
         assert out == ""
         assert f"invalid stream spec {spec!r}" in err
+
+
+class TestRefusals:
+    """A value argparse takes but a verb refuses exits 2 naming the verb's options."""
+
+    @pytest.mark.parametrize("argv, options", [
+        ("perturb --k 1/4", "--k 1/4 --nmax 4096 --flip-start 1"),
+        ("perturb --k 0.25", "--k 0.25 --nmax 4096 --flip-start 1"),
+        ("exponent --k abc", "--k abc --r 0"),
+        ("exponent --k 3/0", "--k 3/0 --r 0"),
+        ("riesz-trace --k abc", "--k abc --nmax 60 --every 1"),
+        ("weyl --stream random:", "--stream random: --samples 16384 --harmonics 5"),
+        ("weyl --stream flipped:1/0", "--stream flipped:1/0 --samples 16384 --harmonics 5"),
+        ("mix --a foo --b random:1", "--a foo --b random:1 --nmax 65536 --growth 4"),
+        ("mix --a random:1 --b rational:1/0",
+         "--a random:1 --b rational:1/0 --nmax 65536 --growth 4"),
+        ("exponent --k=-abc --r 2 --format json", "--k=-abc --r 2"),
+    ])
+    def test_refusal_names_the_options(self, run_cli, argv, options):
+        code, out, err = run_cli(*shlex.split(argv))
+        assert code == 2 and out == ""
+        assert err.startswith(f"tmscaling: error: {options}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        ("table --qmax abc", "argument --qmax: invalid integer: 'abc'"),
+        ("identities --tol abc", "argument --tol: invalid number: 'abc'"),
+        ("exponent --k=--", "argument --k: expected one argument"),
+        ("identities --qsum-max=--", "argument --qsum-max: expected one argument"),
+    ])
+    def test_argparse_refusal_names_the_flag(self, run_cli, argv, message):
+        code, out, err = run_cli(*shlex.split(argv))
+        assert code == 2 and out == ""
+        assert message in err
+
+    TEXT = st.builds(str.__add__, st.sampled_from(["", "random:", "rational:", "flipped:", "1/"]),
+                     st.one_of(st.text(max_size=6), st.text("0123456789/:-.e", max_size=6)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from([
+        ("--k", ["exponent"]),
+        ("--k", ["riesz-trace", "--nmax=8"]),
+        ("--k", ["perturb", "--nmax=8"]),
+        ("--stream", ["weyl", "--samples=8"]),
+        ("--a", ["mix", "--b=random:1", "--nmax=8"]),
+        ("--b", ["mix", "--a=random:1", "--nmax=8"]),
+    ]), text=TEXT)
+    def test_any_text_is_taken_or_refused_naming_the_flag(self, case, text):
+        # hypothesis runs many examples per call, which a function-scoped capsys cannot follow
+        flag, argv = case
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, f"{flag}={text}"])
+            except SystemExit as exc:   # argparse refuses "--flag=--"
+                code = exc.code
+        assert code in (0, 2)
+        if code == 2:
+            quoted = shlex.quote(text)
+            pair = f"{flag}={quoted}" if quoted.startswith("-") else f"{flag} {quoted}"
+            reason = err.getvalue().partition("error: ")[2]
+            assert reason.startswith(f"argument {flag}: ") or f" {pair} " in f" {reason}"
+            for raw in ("invalid literal", "could not convert", "Traceback", "Exceeds the limit"):
+                assert raw not in reason
 
 
 class TestInputBudgets:

@@ -242,3 +242,7 @@ class TestMixedTrace:
         b = random_bits(1)
         tr, _, _ = mixed_exponent_trace(a, b, 6000)
         assert [s.level for s in tr.samples] == [4, 20, 84, 340, 1364, 5460, 6000]
+
+    def test_zero_levels_are_refused_by_the_trace(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+            mixed_exponent_trace(rational_periodic(1, 3), random_bits(1), 0)

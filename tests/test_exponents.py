@@ -569,3 +569,9 @@ class TestSignCertificate:
                 assert (value > 0.0) == (exact > 0), (q, p)
         for (q, p), rounded in self.NEAR_ZERO.items():
             assert orbit_log_mean(p, q) == pytest.approx(rounded, abs=5e-7), (q, p)
+
+
+@pytest.mark.parametrize("enumerate_up_to", [figure_data, enumerate_positive_exponents])
+def test_bounds_above_the_enumeration_cap_are_refused(enumerate_up_to):
+    with pytest.raises(ValueError, match="q_max capped at 10000, got 10001"):
+        enumerate_up_to(10001)

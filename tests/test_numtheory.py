@@ -247,3 +247,9 @@ def test_exact_quotients_keep_the_shape_of_a_residue_table():
     value, half = numtheory.exact_quotients(rows, 9)
     assert value.shape == half.shape == rows.shape
     assert half[0].tolist() == [1 / 9, 2 / 9, 4 / 9, 1 / 9, 2 / 9, 4 / 9]
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_moebius_refuses_non_positive_n(n):
+    with pytest.raises(ValueError, match=f"n must be positive, got {n}"):
+        moebius(n)

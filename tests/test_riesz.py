@@ -411,3 +411,14 @@ class TestQSum:
     def test_selected_levels(self, n):
         lhs, rhs = check_qsum(n)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: trace("1/3", 0), "n_max must be >= 1, got 0", id="trace"),
+    pytest.param(lambda: partial_product_log("1/3", -1), "level must be non-negative, got -1",
+                 id="partial_product_log"),
+    pytest.param(lambda: check_qsum(0), "n must be >= 1, got 0", id="check_qsum"),
+])
+def test_levels_below_the_domain_are_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

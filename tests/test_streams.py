@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from tmscaling.streams import (
     DigitStream,
     PowersOfTwo,
+    block_ends,
     block_mixed,
     flipped,
     random_bits,
@@ -130,3 +131,14 @@ def test_list_source_is_read_once_in_order():
     assert stream.digits(2, 10) == bytes(digits[2:])
     with pytest.raises(ValueError, match="source ended"):
         stream.digit(11)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: rational_periodic(1, 0), "denominator must be positive, got 0",
+                 id="rational_periodic"),
+    pytest.param(lambda: PowersOfTwo(-1), "start_exponent must be >= 0", id="PowersOfTwo"),
+    pytest.param(lambda: block_ends(1), "growth must be >= 2", id="block_ends"),
+])
+def test_arguments_outside_the_domain_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

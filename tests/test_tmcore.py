@@ -191,3 +191,9 @@ def test_direct_phases_are_exact_fractions(m, den, count, block):
     with mock.patch.object(tmcore, "BLOCK", block):
         x = tmcore._direct_fracs(m, den, count)
     assert x.tolist() == [float(Fraction(l * m % den, den)) for l in range(count)]
+
+
+@pytest.mark.parametrize("n", [-1, -64])
+def test_recursive_sum_refuses_negative_levels(n):
+    with pytest.raises(ValueError, match=f"level must be non-negative, got {n}"):
+        exp_sum_recursive(n, "1/3")

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -297,3 +298,16 @@ def test_rational_levels_are_zero_exactly_where_the_fraction_is(m, r, q, count, 
     with small_blocks(size):
         zero = [z for b in frac_levels(source, count).blocks() for z in b.is_zero.tolist()]
     assert zero == [Fraction(2 ** level * k) % 1 == 0 for level in range(count)]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: WaveNumber(m=1, r=-1, q=1), "r must be non-negative, got -1",
+                 id="negative-r"),
+    pytest.param(lambda: WaveNumber(m=7, r=0, q=3), "m must satisfy 0 <= m < 2**r * q",
+                 id="m-out-of-range"),
+    pytest.param(lambda: WaveNumber.parse("1/3").with_extra_dyadic_power(-1),
+                 "extra_r must be non-negative", id="negative-extra-r"),
+])
+def test_fields_outside_the_domain_are_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
