@@ -16,13 +16,14 @@ defect directly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
 
-from . import riesz
+from . import numtheory, riesz
 from .numtheory import (
     OrbitDecomposition,
     _require_odd_modulus,
@@ -84,11 +85,15 @@ def _orbit_mean(orbit: np.ndarray, q: int) -> float:
 
     If -1 is in S_q, orbit[k//2 + i] == q - orbit[i] repeats the terms of the
     first half, whose mean has the same bits (fsum rounds once; 2x is exact).
+    libm and fsum take the terms ``numtheory._STEP`` residues at a time, so no
+    list of floats outgrows one slice, and the bits do not depend on the slicing.
     """
     k = len(orbit)
     if k % 2 == 0 and orbit[k // 2] == q - orbit[0]:
         orbit = orbit[:k // 2]
-    return math.fsum(_log_terms(orbit, q).tolist()) / len(orbit)
+    step = numtheory._STEP
+    slices = (_log_terms(orbit[i:i + step], q).tolist() for i in range(0, len(orbit), step))
+    return math.fsum(itertools.chain.from_iterable(slices)) / len(orbit)
 
 
 def _coset_means(dec: OrbitDecomposition) -> list[float]:

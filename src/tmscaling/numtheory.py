@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 #: longest doubling orbit that ``doubling_orbit``, ``mult_order_of_two`` and the
-#: exact level ladder walk; an orbit this long takes 32 MB as int64, about 150 MB as Python ints
+#: exact level ladder walk; an orbit this long takes 32 MB as int64, about 170 MB as Python ints
+#: below 2**60, and its exact mean adds one _STEP slice of floats
 MAX_ORBIT_LENGTH = 2**22
-#: residues per slice of a block-doubling step, which bounds object-array temporaries
+#: residues per slice of a block-doubling step and of an exact orbit mean, which bounds their temporaries
 _STEP = 1 << 16
 #: residues walked one at a time before block doubling, so short orbits skip numpy
 _HEAD = 64
@@ -105,7 +106,8 @@ def _doubling_cycle(p: int, q: int, limit: int) -> np.ndarray:
             grown[i:i + len(block)] = block
             closed = np.flatnonzero(block == start)
             if closed.size:
-                return grown[:i + closed[0]]
+                grown.resize(i + closed[0], refcheck=False)   # in place: no view of it exists
+                return grown
         cycle = grown
     if len(cycle) > MAX_ORBIT_LENGTH:
         raise ValueError(f"the doubling orbit of {start} mod {q} is longer than "
