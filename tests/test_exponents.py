@@ -1,7 +1,10 @@
+import contextlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -358,9 +361,9 @@ def scalar_orbit_mean(p: int, q: int) -> float:
     ) / len(orbit)
 
 
-@pytest.fixture
-def terms(monkeypatch):
-    """Number of residues passed to libm, per ``_log_terms`` call."""
+@contextlib.contextmanager
+def sliced(step):
+    """``numtheory._STEP`` patched to ``step``; yields the residues passed to libm, per ``_log_terms`` call."""
     sizes = []
     log_terms = exponents._log_terms
 
@@ -368,17 +371,41 @@ def terms(monkeypatch):
         sizes.append(len(residues))
         return log_terms(residues, q)
 
-    monkeypatch.setattr(exponents, "_log_terms", counted)
-    return sizes
+    with mock.patch.object(numtheory, "_STEP", step), \
+            mock.patch.object(exponents, "_log_terms", counted):
+        yield sizes
+
+
+@pytest.fixture
+def terms():
+    """Number of residues passed to libm, per ``_log_terms`` call."""
+    with sliced(numtheory._STEP) as sizes:
+        yield sizes
+
+
+def assert_sliced(terms, count, step):
+    """``count`` terms went to libm in ceil(count / step) calls of at most ``step`` residues."""
+    assert sum(terms) == count
+    assert max(terms) <= step and len(terms) == -(-count // step)
+
+
+STEPS = [1, 2, 3, 7, numtheory._STEP]
 
 
 class TestArrayKernel:
     """The array pass is bit-equal to the scalar formula (compared with ==)."""
 
-    @given(q=st.integers(1, 2499).map(lambda i: 2 * i + 1), p=st.integers(1, 10 ** 6))
-    def test_orbit_mean_is_bit_equal_to_scalar_formula(self, q, p):
+    # fsum rounds once, so the slices that feed it do not change a bit
+    @given(q=st.integers(1, 2499).map(lambda i: 2 * i + 1), p=st.integers(1, 10 ** 6),
+           step=st.sampled_from(STEPS))
+    def test_orbit_mean_is_bit_equal_to_scalar_formula(self, q, p, step):
         assume(p % q)
-        assert orbit_log_mean(p, q) == scalar_orbit_mean(p, q)
+        expected = scalar_orbit_mean(p, q)
+        orbit = doubling_orbit(p, q)
+        with sliced(step) as terms:
+            assert orbit_log_mean(p, q) == expected
+        mirrored = (q - p) % q in orbit
+        assert_sliced(terms, len(orbit) // 2 if mirrored else len(orbit), step)
 
     # short orbits: 2**n -/+ 1 has the orbit of 1 of length n or 2n.  Moduli
     # from 2**53 take the object-array path; as int64 (converted to float64
@@ -410,17 +437,37 @@ class TestArrayKernel:
     @pytest.mark.parametrize("q, mirrored", [(7, False), (9, True),
                                              (2**53 + 1, True), (2**64 + 1, True)])
     @pytest.mark.parametrize("p", [1, 3])
-    def test_mirrored_orbits_take_half_the_terms(self, terms, q, mirrored, p):
+    @pytest.mark.parametrize("step", STEPS)
+    def test_mirrored_orbits_take_half_the_terms(self, q, mirrored, p, step):
         orbit = doubling_orbit(p, q)
         assert ((q - p) % q in orbit) == mirrored
-        assert orbit_log_mean(p, q) == scalar_orbit_mean(p, q)
-        assert terms == [len(orbit) // 2 if mirrored else len(orbit)]
+        expected = scalar_orbit_mean(p, q)
+        with sliced(step) as terms:
+            assert orbit_log_mean(p, q) == expected
+        assert_sliced(terms, len(orbit) // 2 if mirrored else len(orbit), step)
 
     @pytest.mark.parametrize("q", [7, 9, 15, 341])
     def test_coset_means_take_one_term_per_half_distance(self, terms, q):
         exponents._coset_means(coset_decomposition(q))
         units = [n for n in range(1, q) if math.gcd(n, q) == 1]
         assert terms == [len(units) // 2]
+
+    def test_a_million_residue_orbit_keeps_its_bits(self):
+        assert beta_rational(Fraction(1, 1000003)).value.hex() == "-0x1.fffac66adead7p-1"
+
+    # 2 generates U_q for the prime q = 262147 and -1 lies in S_q, so the mean
+    # takes 131073 terms: 9 slices of 2**14.  Two lists of all of them would
+    # take 8.4 MB on their own
+    def test_the_mean_holds_one_slice_of_floats(self):
+        with mock.patch.object(numtheory, "_STEP", 2**14):
+            tracemalloc.start()
+            try:
+                result = beta_rational(Fraction(1, 262147))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert result.diagnostics["orbit_size"] == 262146
+        assert peak < 6e6
 
 
 class TestScreen:

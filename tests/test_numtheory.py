@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -96,6 +97,22 @@ def test_doubling_orbit_is_an_array_of_the_kernel_dtype(q, dtype):
     orbit = doubling_orbit(1, q)
     assert isinstance(orbit, np.ndarray) and orbit.dtype == dtype
     assert orbit.tolist() == plain_cycle(1, q, q)
+
+
+# the orbit of 1 closes inside the last doubled block: 2097159 residues of a
+# 2**22-residue buffer for 4194319, 1048578 of 2**21 for 5242891, 200 of 256
+# (Python ints) for 2**100 + 1; the orbit must not keep the rest of it alive
+@pytest.mark.parametrize("q", [4194319, 5242891, 2**100 + 1])
+def test_doubling_orbit_holds_no_memory_beyond_its_residues(q):
+    tracemalloc.start()
+    try:
+        orbit = doubling_orbit(1, q)
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    assert len(orbit) == mult_order_of_two(q)
+    assert sum(stat.size for stat in held.statistics("filename")) <= orbit.nbytes
 
 
 def test_doubling_orbit_rejects_multiple_of_q():
