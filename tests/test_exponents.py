@@ -437,8 +437,17 @@ class TestArrayKernel:
     @pytest.mark.parametrize("q, mirrored", [(7, False), (9, True),
                                              (2**53 + 1, True), (2**64 + 1, True)])
     @pytest.mark.parametrize("p", [1, 3])
+    def test_mirrored_orbits_take_half_the_terms(self, terms, q, mirrored, p):
+        orbit = doubling_orbit(p, q)
+        assert ((q - p) % q in orbit) == mirrored
+        assert orbit_log_mean(p, q) == scalar_orbit_mean(p, q)
+        assert terms == [len(orbit) // 2 if mirrored else len(orbit)]
+
+    @pytest.mark.parametrize("q, mirrored", [(7, False), (9, True),
+                                             (2**53 + 1, True), (2**64 + 1, True)])
+    @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("step", STEPS)
-    def test_mirrored_orbits_take_half_the_terms(self, q, mirrored, p, step):
+    def test_mirrored_orbits_take_half_the_terms_in_slices(self, q, mirrored, p, step):
         orbit = doubling_orbit(p, q)
         assert ((q - p) % q in orbit) == mirrored
         expected = scalar_orbit_mean(p, q)
