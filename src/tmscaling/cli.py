@@ -2,12 +2,15 @@
 
 Each verb computes its result and returns its output for ``--format``: a
 list of lines for csv and plain, a dict for json (``identities`` also
-returns its exit code).  ``main`` is the only writer.  It puts the
-invocation first, as a '#' comment line or as the "invocation" field of
-the json, and writes json in batches of encoder chunks.  The invocation
-is built from the parsed arguments and names every option of the verb,
-so any output file can be regenerated from its header alone.  Data goes
-to stdout, diagnostics to stderr.  Exit codes: 0 success, 2
+returns its exit code).  A line that is not a str is a long text given as
+an iterable of pieces (the ``exponent`` orbit line, the trace rows).
+``main`` is the only writer.  It puts the invocation first, as a '#'
+comment line or as the "invocation" field of the json, and writes in
+batches: ``_ORBIT_SLICE`` lines or json encoder chunks at a time, and a
+text in pieces one piece at a time.  The invocation is built from the
+parsed arguments and names every option of the verb, so any output file
+can be regenerated from its header alone.  Data goes to stdout,
+diagnostics to stderr.  Exit codes: 0 success, 2
 usage/validation error, 3 numeric identity check outside tolerance.  A
 value argparse accepts but a verb refuses prints "tmscaling: error: <the
 verb's options>: <reason>"; ``main`` is the only place that writes it.
@@ -30,8 +33,8 @@ from .streams import DigitStream, PowersOfTwo, flipped, random_bits
 from .wavenumber import MAX_STREAM_LEVELS, WINDOW, WaveNumber
 
 PROG = "tmscaling"
-#: residues joined per slice of the printed orbit line (and JSON chunks per
-#: write), so the whole orbit never exists as str objects at once
+#: residues per piece of the printed orbit line, trace rows rendered at a time,
+#: and lines or JSON chunks per write, so no whole output exists as str objects
 _ORBIT_SLICE = 65536
 
 
@@ -126,9 +129,8 @@ def _exponent(args):
              f"method = {result.method}",
              f"orbit_size = {d['orbit_size']}",
              f"representative = {d['representative']}",
-             "orbit = " + " ".join(
-                 str(orbit[i:i + _ORBIT_SLICE].tolist())[1:-1].replace(",", "")
-                 for i in range(0, len(orbit), _ORBIT_SLICE))]
+             ((" " if i else "orbit = ") + str(orbit[i:i + _ORBIT_SLICE].tolist())[1:-1]
+              .replace(",", "") for i in range(0, len(orbit), _ORBIT_SLICE))]
     if wn.r:
         lines.append(f"note = dyadic prefactor 2^{wn.r} ignored in the limit")
     return lines
@@ -167,7 +169,9 @@ def _trace_output(fmt: str, digits: int, tr: riesz.RieszTrace, text: list[str], 
 
     json puts the numbers (through ``json_number``) ahead of the trace's
     fields; plain is the ``text`` lines, then 'name = value' per number;
-    csv is those lines as '# ' comments, then the trace rows.
+    csv is those lines as '# ' comments, then the trace rows as one text in
+    pieces: the rows of one ``_ORBIT_SLICE`` of samples each, led by a
+    newline ("" joined in front) after the first.
     """
     if fmt == "json":
         return {**{name: json_number(x, digits) for name, x in numbers.items()},
@@ -177,7 +181,10 @@ def _trace_output(fmt: str, digits: int, tr: riesz.RieszTrace, text: list[str], 
     lines = [*text, *(f"{name} = {format_float(x, digits)}" for name, x in numbers.items())]
     if fmt == "plain":
         return lines
-    return [f"# {line}" for line in lines] + tr.to_csv_lines(digits)
+    rows = ("\n".join([""] * bool(i) + csv_lines(
+                riesz.TRACE_CSV_HEADER, tr.rows(i, i + _ORBIT_SLICE), digits)[1:])
+            for i in range(0, len(tr.samples), _ORBIT_SLICE))
+    return [*(f"# {line}" for line in lines), riesz.TRACE_CSV_HEADER, rows]
 
 
 def _riesz_trace(args):
@@ -402,6 +409,11 @@ def main(argv=None) -> int:
         while batch := "".join(itertools.islice(chunks, _ORBIT_SLICE)):
             sys.stdout.write(batch)
         sys.stdout.write("\n")
-    else:
-        sys.stdout.write("\n".join([f"# {invocation}", *out, ""]))
+        return code
+    lines = itertools.chain([f"# {invocation}"], out)
+    # runs of str lines go out _ORBIT_SLICE to a write, a text in pieces piece by piece
+    for whole, run in itertools.groupby(lines, str.__instancecheck__):
+        while batch := list(itertools.islice(run, _ORBIT_SLICE if whole else 1)):
+            sys.stdout.writelines(["\n".join(batch)] if whole else batch[0])
+            sys.stdout.write("\n")
     return code

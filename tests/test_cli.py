@@ -5,6 +5,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 from unittest import mock
 
@@ -108,6 +109,60 @@ class TestJsonWriter:
         code, out, _ = run_cli(*shlex.split(argv), "--format", "json")
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestSlicedWriter:
+    """csv and plain go out ``_ORBIT_SLICE`` lines, trace rows or orbit residues at a time."""
+
+    @pytest.mark.parametrize("argv", [
+        "exponent --k 1/1019",
+        "exponent --k 1/1019 --r 2",
+        "exponent --k 1/1019 --format csv",
+        "riesz-trace --k 1/9 --nmax 40",
+        "riesz-trace --k 1/9 --nmax 40 --format plain",
+        "perturb --k 1/5 --nmax 90",
+        "mix --a rational:1/3 --b random:4 --nmax 200",
+    ])
+    def test_bytes_do_not_depend_on_the_slice(self, run_cli, monkeypatch, argv):
+        code, expected, _ = run_cli(*shlex.split(argv))
+        assert code == 0
+        for size in (1, 2, 3, 7):
+            monkeypatch.setattr(cli, "_ORBIT_SLICE", size)
+            assert run_cli(*shlex.split(argv)) == (0, expected, ""), size
+
+
+class _Discard(io.TextIOBase):
+    """A stdout that keeps none of the text written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def _traced_peak(call):
+    """``call()``'s result and the peak bytes tracemalloc sees meanwhile, stdout discarded."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOutputMemory:
+    """Printing holds one slice of text, not the whole output."""
+
+    def test_exponent_prints_its_orbit_within_a_mebibyte_of_computing_it(self):
+        _, computing = _traced_peak(lambda: exponents.beta_rational("1/1000003"))
+        code, printing = _traced_peak(lambda: main(["exponent", "--k", "1/1000003"]))
+        assert code == 0
+        assert printing < computing + 2**20
+
+    def test_trace_prints_within_four_times_its_samples(self):
+        n = 262144
+        code, peak = _traced_peak(lambda: main(["riesz-trace", "--k", "1/9", "--nmax", str(n)]))
+        assert code == 0
+        assert peak < 4 * n * 24      # a sample is an int64 level and two float64s
 
 
 class TestGfunCommand:
