@@ -20,7 +20,6 @@ from .exponents import (
 )
 from .expansions import (
     WeylReport,
-    frac_pow2,
     mixed_exponent_trace,
     perturbed_exponent_trace,
     rational_stream,

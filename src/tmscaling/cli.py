@@ -6,11 +6,13 @@ returns its exit code).  A line that is not a str is a long text given as
 an iterable of pieces (the ``exponent`` orbit line, the trace rows).
 ``main`` is the only writer.  It puts the invocation first, as a '#'
 comment line or as the "invocation" field of the json, and writes in
-batches: ``_ORBIT_SLICE`` lines or json encoder chunks at a time, and a
-text in pieces one piece at a time.  The invocation is built from the
+batches: ``_ORBIT_SLICE`` lines at a time, and a text in pieces one piece
+at a time (the json is one such text, in pieces of ``_ORBIT_SLICE``
+encoder chunks).  The invocation is built from the
 parsed arguments and names every option of the verb, so any output file
 can be regenerated from its header alone.  Data goes to stdout,
-diagnostics to stderr.  Exit codes: 0 success, 2
+diagnostics to stderr.  Exit codes: 0 success, 1 stdout closed before
+the output was written (e.g. piped into ``head``), 2
 usage/validation error, 3 numeric identity check outside tolerance.  A
 value argparse accepts but a verb refuses prints "tmscaling: error: <the
 verb's options>: <reason>"; ``main`` is the only place that writes it.
@@ -24,6 +26,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import shlex
 import sys
 
@@ -150,7 +153,7 @@ def _table(args):
     if args.format == "json":
         return {"rows": json_rows(exponents.TABLE_CSV_HEADER, rows, args.digits, keys=2)}
     if args.format == "csv":
-        return exponents.table_csv_lines(rows, args.digits)
+        return csv_lines(exponents.TABLE_CSV_HEADER, rows, args.digits, keys=2)
     return [f"{p}/{q} {format_float(beta, args.digits)}" for q, p, beta in rows]
 
 
@@ -159,7 +162,7 @@ def _figure(args):
     if args.format == "json":
         return {"rows": json_rows(exponents.FIGURE_CSV_HEADER, rows, args.digits)}
     if args.format == "csv":
-        return exponents.figure_csv_lines(rows, args.digits)
+        return csv_lines(exponents.FIGURE_CSV_HEADER, rows, args.digits)
     return [f"q={q} beta={format_float(b, args.digits)} g={format_float(g, args.digits)}"
             for q, b, g in rows]
 
@@ -406,14 +409,17 @@ def main(argv=None) -> int:
     invocation = f"{PROG} {args.verb} {_options(args)}"
     if isinstance(out, dict):
         chunks = json.JSONEncoder(indent=2).iterencode({"invocation": invocation, **out})
-        while batch := "".join(itertools.islice(chunks, _ORBIT_SLICE)):
-            sys.stdout.write(batch)
-        sys.stdout.write("\n")
-        return code
-    lines = itertools.chain([f"# {invocation}"], out)
+        lines = [iter(lambda: "".join(itertools.islice(chunks, _ORBIT_SLICE)), "")]
+    else:
+        lines = itertools.chain([f"# {invocation}"], out)
     # runs of str lines go out _ORBIT_SLICE to a write, a text in pieces piece by piece
-    for whole, run in itertools.groupby(lines, str.__instancecheck__):
-        while batch := list(itertools.islice(run, _ORBIT_SLICE if whole else 1)):
-            sys.stdout.writelines(["\n".join(batch)] if whole else batch[0])
-            sys.stdout.write("\n")
+    try:
+        for whole, run in itertools.groupby(lines, str.__instancecheck__):
+            while batch := list(itertools.islice(run, _ORBIT_SLICE if whole else 1)):
+                sys.stdout.writelines(["\n".join(batch)] if whole else batch[0])
+                sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:     # the reader closed stdout; quiet the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code

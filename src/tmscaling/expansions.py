@@ -26,25 +26,13 @@ from . import riesz
 from .riesz import RieszTrace, block_log_factors
 from .streams import (DigitStream, PowersOfTwo, block_ends, block_mixed, flipped,
                       rational_periodic)
-from .wavenumber import BLOCK, WINDOW, RationalLike, as_wave_number, frac_levels
+from .wavenumber import BLOCK, RationalLike, as_wave_number, frac_levels
 
 
 def rational_stream(k: RationalLike) -> DigitStream:
     """Digit stream of a rational wave number's exact binary expansion."""
     wn = as_wave_number(k)
     return rational_periodic(wn.m, wn.denominator)
-
-
-def frac_pow2(stream: DigitStream, n: int) -> float:
-    """frac(2**n k) assembled from the WINDOW = 64 digits n+1 .. n+64.
-
-    Truncation error below 2**-64; the returned float is the correctly
-    rounded value of the truncated expansion, so the float mantissa is
-    the binding resolution.
-    """
-    if n < 0:
-        raise ValueError(f"shift must be non-negative, got {n}")
-    return stream.window_int(n, WINDOW) / float(1 << WINDOW)
 
 
 @dataclass

@@ -165,6 +165,25 @@ class TestOutputMemory:
         assert peak < 4 * n * 24      # a sample is an int64 level and two float64s
 
 
+class TestClosedStdout:
+    """A reader that stops early (``| head -1``) gets exit 1 and no traceback."""
+
+    # each prints megabytes, far more than a pipe buffers: str lines, the
+    # orbit line in pieces, and the json in pieces
+    @pytest.mark.parametrize("argv", [
+        "riesz-trace --k 1/9 --nmax 200000",
+        "exponent --k 1/1000003",
+        "exponent --k 1/1000003 --format json",
+    ])
+    def test_exits_1_with_empty_stderr(self, argv):
+        child = subprocess.Popen([sys.executable, "-m", "tmscaling", *shlex.split(argv)],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert child.stdout.readline().startswith((b"# tmscaling", b"{"))
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (1, b"")
+
+
 class TestGfunCommand:
     def test_value(self, run_cli):
         code, out, _ = run_cli("gfun", "--q", "9")

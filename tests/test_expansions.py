@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from tmscaling import cli, expansions, wavenumber
 from tmscaling.exponents import beta_rational
 from tmscaling.expansions import (
-    frac_pow2,
     mixed_exponent_trace,
     perturbed_exponent_trace,
     rational_stream,
@@ -80,14 +79,8 @@ class TestDigitStreams:
             rational_periodic(1, 3).digit(0)
 
 
-class TestFracPow2:
-    def test_one_third_shift_zero(self):
-        x = frac_pow2(rational_stream("1/3"), 0)
-        assert x == pytest.approx(1.0 / 3.0, abs=2 ** -60)
-
-    def test_one_third_shift_one(self):
-        x = frac_pow2(rational_stream("1/3"), 1)
-        assert x == pytest.approx(2.0 / 3.0, abs=2 ** -60)
+class TestStreamLevels:
+    """``frac_levels`` on a stream that is not rational-periodic reads 64-digit windows."""
 
     def test_flipped_window_matches_flip_rule(self):
         # recompute the expected 8-digit window from the rule directly
@@ -97,17 +90,16 @@ class TestFracPow2:
         bits = [base.digit(j) ^ (1 if j in flips else 0)
                 for j in range(1, 9)]
         expected = sum(b * 2.0 ** -(i + 1) for i, b in enumerate(bits))
-        assert frac_pow2(stream, 0) == pytest.approx(expected, abs=2 ** -8)
-
-    def test_shift_validation(self):
-        with pytest.raises(ValueError):
-            frac_pow2(rational_stream("1/3"), -1)
+        block = next(frac_levels(stream, 1).blocks())
+        assert block.value[0] == pytest.approx(expected, abs=2 ** -8)
 
     def test_error_bound_against_exact_fraction(self):
-        stream = rational_stream("3/7")
+        # the first flip, at digit 2**200, lies past every digit 40 levels read
+        stream = flipped(rational_periodic(3, 7), PowersOfTwo(200))
+        values = next(frac_levels(stream, 40).blocks()).value
         for n in range(40):
             exact = Fraction(3 * 2 ** n, 7) % 1
-            assert abs(frac_pow2(stream, n) - float(exact)) < 2 ** -52
+            assert abs(values[n] - float(exact)) < 2 ** -52
 
 
 class TestWeylDiagnostics:
