@@ -26,7 +26,6 @@ from .expansions import (
     weyl_diagnostics,
 )
 from .numtheory import (
-    OrbitDecomposition,
     coset_decomposition,
     divisors,
     doubling_orbit,
@@ -51,7 +50,7 @@ from .streams import (
     random_bits,
     rational_periodic,
 )
-from .tmcore import ExponentialSum, TmWord, exp_sum_direct, exp_sum_recursive, tm_word
+from .tmcore import exp_sum_direct, exp_sum_recursive, tm_word
 from .wavenumber import WaveNumber, as_wave_number, frac_levels
 
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ import math
 import os
 import shlex
 import sys
+from decimal import Decimal
 
 from . import exponents, expansions, riesz
 from .serialize import csv_lines, format_float, json_number, json_rows
@@ -100,9 +101,12 @@ def _parse_trace_target(text: str):
     except ValueError:
         pass
     try:
-        return float(text)
+        k = float(text)
     except ValueError:
         raise ValueError(f"cannot interpret {text!r} as a wave number or stream")
+    if k == 0.0 and Decimal(text) != 0:    # Decimal reads the literal exactly, without a power of 10
+        raise ValueError(f"{text!r} is not zero but rounds to the float 0.0")
+    return k
 
 
 def _exponent(args):

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from . import numtheory, riesz
 from .numtheory import (
-    OrbitDecomposition,
     _require_odd_modulus,
     coset_decomposition,
     divisors,
@@ -96,17 +95,17 @@ def _orbit_mean(orbit: np.ndarray, q: int) -> float:
     return math.fsum(itertools.chain.from_iterable(slices)) / len(orbit)
 
 
-def _coset_means(dec: OrbitDecomposition) -> list[float]:
-    """``_orbit_mean`` of every unit orbit of ``dec``, from one (cosets x order) array.
+def _coset_means(cosets: np.ndarray, q: int) -> list[float]:
+    """``_orbit_mean`` of every row of ``cosets``, a (cosets x order) array of orbits mod q.
 
     u*S_q and -u*S_q share half-distances: one table of terms per q, gathered.
     """
-    half = np.minimum(dec.unit_orbits, dec.q - dec.unit_orbits)
-    seen = np.zeros(dec.q // 2 + 1, dtype=bool)
+    half = np.minimum(cosets, q - cosets)
+    seen = np.zeros(q // 2 + 1, dtype=bool)
     seen[half] = True
-    table = np.zeros(dec.q // 2 + 1)
-    table[seen] = _log_terms(np.flatnonzero(seen), dec.q)
-    return [math.fsum(row) / dec.order_of_two for row in table[half].tolist()]
+    table = np.zeros(q // 2 + 1)
+    table[seen] = _log_terms(np.flatnonzero(seen), q)
+    return [math.fsum(row) / cosets.shape[1] for row in table[half].tolist()]
 
 
 def orbit_log_mean(p: int, q: int) -> float:
@@ -168,8 +167,8 @@ def g_closed_form(q: int) -> float:
 
 def _coset_sum(d: int) -> tuple[int, float]:
     """(order of 2 mod d, sum of the exponents over the unit cosets of d)."""
-    dec = coset_decomposition(d)
-    return dec.order_of_two, math.fsum(_coset_means(dec))
+    cosets = coset_decomposition(d)
+    return cosets.shape[1], math.fsum(_coset_means(cosets, d))
 
 
 def _coset_sum_pair(q: int, sums: dict[int, tuple[int, float]]) -> tuple[float, float]:
@@ -190,7 +189,9 @@ def check_coset_sum_identity(q: int) -> tuple[float, float]:
     rhs = g(q).  Exact for every odd q >= 3, because the terms regroup
     the full factor sum over m/q, m = 1..q-1.
     """
-    return _coset_sum_pair(q, {d: _coset_sum(d) for d in divisors(q)[1:]})
+    sums = {q: _coset_sum(q)}   # first: its budget check refuses a large q before divisors walks it
+    sums.update((d, _coset_sum(d)) for d in divisors(q)[1:-1])
+    return _coset_sum_pair(q, sums)
 
 
 def moebius_inverted_coset_sum(q: int) -> tuple[float, float]:
@@ -210,19 +211,19 @@ def coset_identities(q_max: int) -> Iterator[tuple[int, tuple[float, float], tup
         yield q, _coset_sum_pair(q, sums), _moebius_pair(q, sums)
 
 
-def _screen_means(dec: OrbitDecomposition) -> np.ndarray:
+def _screen_means(cosets: np.ndarray, q: int) -> np.ndarray:
     """``_coset_means`` estimated with numpy's sin and log2: it screens, it is never printed."""
-    return riesz.log_factors(exact_quotients(dec.unit_orbits, dec.q)[1]).mean(axis=1)
+    return riesz.log_factors(exact_quotients(cosets, q)[1]).mean(axis=1)
 
 
 def _positive_rows(q: int) -> list[tuple[int, int, float]]:
-    dec = coset_decomposition(q)
-    kept = _screen_means(dec) > -_SCREEN_MARGIN
+    cosets = coset_decomposition(q)
+    kept = _screen_means(cosets, q) > -_SCREEN_MARGIN
     if not kept.any():
         return []
-    dec = replace(dec, unit_orbits=dec.unit_orbits[kept])
+    cosets = cosets[kept]
     return [(q, p, value)
-            for p, value in zip(dec.unit_representatives, _coset_means(dec))
+            for p, value in zip(cosets[:, 0].tolist(), _coset_means(cosets, q))
             if value > 0.0]
 
 

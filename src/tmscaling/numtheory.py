@@ -15,8 +15,6 @@ Enumerations walk every q up to 10**4, where trial division is plenty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: longest doubling orbit that ``doubling_orbit``, ``mult_order_of_two`` and the
@@ -140,32 +138,16 @@ def doubling_orbit(p: int, q: int) -> np.ndarray:
     return _doubling_cycle(p, q, q)
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    """The unit group U_q as the cosets of S_q, one row per coset.
-
-    ``unit_orbits`` is a (cosets x order_of_two) integer array.  Row i is
-    the doubling cycle of its smallest element, the i-th representative in
-    increasing order, so row 0 is S_q itself.  The residues sharing a
-    factor d > 1 with q are d times the unit cosets of q/d.
-    """
-
-    q: int
-    unit_orbits: np.ndarray
-    order_of_two: int
-
-    @property
-    def unit_representatives(self) -> list[int]:
-        return self.unit_orbits[:, 0].tolist()
-
-
-def coset_decomposition(q: int) -> OrbitDecomposition:
+def coset_decomposition(q: int) -> np.ndarray:
     """Decompose U_q into the cosets u*S_q with minimal representatives.
 
-    S_q is built once; each next representative is the smallest unit not
-    yet covered, so cosets come out sorted by representative.  The cosets
-    cover U_q, which takes a q-entry mask, so q may be at most
-    MAX_ORBIT_LENGTH.
+    Returns a (cosets x order of 2) integer array.  Row i is the doubling
+    cycle of its smallest element, the i-th representative in increasing
+    order, so column 0 holds the representatives and row 0 is S_q itself.
+    The residues sharing a factor d > 1 with q are d times the unit cosets
+    of q/d.  S_q is built once; each next representative is the smallest
+    unit not yet covered.  The cosets cover U_q, which takes a q-entry
+    mask, so q may be at most MAX_ORBIT_LENGTH.
     """
     _require_odd_modulus(q)
     if q > MAX_ORBIT_LENGTH:
@@ -181,4 +163,4 @@ def coset_decomposition(q: int) -> OrbitDecomposition:
         row[:] = rep * subgroup % q
         free[row] = False
         rep += int(np.argmax(free[rep:]))
-    return OrbitDecomposition(q=q, unit_orbits=rows, order_of_two=len(subgroup))
+    return rows

@@ -20,7 +20,6 @@ phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,33 +42,14 @@ def _signs(n: int) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class TmWord:
-    """Level-n word of 2**n weights in {+1, -1}."""
+def tm_word(n: int) -> np.ndarray:
+    """Level-n word of 2**n weights in {+1, -1}; symbol l is (-1)**popcount(l).
 
-    level: int
-    symbols: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-def tm_word(n: int) -> TmWord:
-    """Word of length 2**n; symbol l is (-1)**popcount(l)."""
+    The int8 array is cached and read-only: every call for n returns the same one.
+    """
     if not 0 <= n <= MAX_LEVEL:
         raise ValueError(f"level must be in 0..{MAX_LEVEL}, got {n}")
-    return TmWord(level=n, symbols=_signs(n))
-
-
-@dataclass(frozen=True)
-class ExponentialSum:
-    level: int
-    wave_number: object
-    value: complex
-
-    @property
-    def magnitude_sq(self) -> float:
-        return abs(self.value) ** 2
+    return _signs(n)
 
 
 def _direct_fracs(m: int, den: int, count: int) -> np.ndarray:
@@ -99,7 +79,7 @@ def _as_exact_fraction(k: WaveNumberLike, n: int) -> tuple[int, int]:
     return wn.m, wn.denominator
 
 
-def exp_sum_direct(n: int, k: WaveNumberLike) -> ExponentialSum:
+def exp_sum_direct(n: int, k: WaveNumberLike) -> complex:
     """g_n(k) by explicit summation of 2**n terms.
 
     Phases use exact modular arithmetic on the numerator; the real and
@@ -114,10 +94,10 @@ def exp_sum_direct(n: int, k: WaveNumberLike) -> ExponentialSum:
     phases = np.exp(-2j * np.pi * x)
     re = math.fsum(signs * phases.real)
     im = math.fsum(signs * phases.imag)
-    return ExponentialSum(level=n, wave_number=k, value=complex(re, im))
+    return complex(re, im)
 
 
-def exp_sum_recursive(n: int, k: WaveNumberLike) -> ExponentialSum:
+def exp_sum_recursive(n: int, k: WaveNumberLike) -> complex:
     """g_n(k) via the doubling recursion: product of (1 - exp(-2 pi i x_l)).
 
     Each factor is assembled from sin/cos at the exact distance of x_l to
@@ -136,4 +116,4 @@ def exp_sum_recursive(n: int, k: WaveNumberLike) -> ExponentialSum:
         c[block.value > 0.5] *= -1.0
         # 1 - exp(-2 pi i x) = 2 sin(pi x) * (sin(pi x) + i cos(pi x))
         g *= complex(np.prod((2.0 * s) * (s + 1j * c)))
-    return ExponentialSum(level=n, wave_number=k, value=g)
+    return g

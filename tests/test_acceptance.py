@@ -138,10 +138,10 @@ def test_criterion_06_oracle_equivalence():
             scale = 2.0 ** n
             product = scale * 2.0 ** log2f
             # recursion vs the log-product, relative to the value
-            assert abs(rec.magnitude_sq - product) <= 1e-8 * product
+            assert abs(abs(rec) ** 2 - product) <= 1e-8 * product
             # direct summation vs the recursion, relative to the 2^n scale
-            assert abs(direct.value - rec.value) <= 1e-8 * scale
-            assert abs(direct.magnitude_sq - product) <= 1e-8 * scale * scale
+            assert abs(direct - rec) <= 1e-8 * scale
+            assert abs(abs(direct) ** 2 - product) <= 1e-8 * scale * scale
 
 
 def test_criterion_07_mass_normalisation():

@@ -641,6 +641,20 @@ class TestInputBudgets:
         assert err.startswith(f"tmscaling: error: {flag} {argv[2]}")
         assert "level 0 of k comes within 2**-1022 of an integer without reaching it" in err
 
+    @pytest.mark.parametrize("k", ["1e-330", "1e-400"])
+    def test_a_literal_that_rounds_to_zero_exits_2_naming_k(self, run_cli, k):
+        # k is not 0, so it must not be traced as the extinct wave number 0
+        code, out, err = run_cli("riesz-trace", "--k", k, "--nmax", "3")
+        assert code == 2 and out == ""
+        assert err.startswith(f"tmscaling: error: --k {k} --nmax 3 --every 1: ")
+        assert "rounds to the float 0.0" in err
+
+    @pytest.mark.parametrize("k", ["0.0", "-0.0", "0e5"])
+    def test_a_zero_literal_traces_zero(self, run_cli, k):
+        code, out, err = run_cli("riesz-trace", f"--k={k}", "--nmax", "3")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:3] == ["# wave_number = 0", "# extinct_at = 0"]
+
     def test_levels_at_the_edge_of_the_float_range_are_printed(self, run_cli):
         code, out, err = run_cli("riesz-trace", "--k", "2.2250738585072014e-308",  # 2**-1022
                                  "--nmax", "3")

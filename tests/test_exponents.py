@@ -255,6 +255,18 @@ class TestIdentities:
             with pytest.raises(ValueError):
                 moebius_inverted_coset_sum(bad)
 
+    def test_modulus_above_the_budget_raises_before_any_divisor(self, monkeypatch):
+        # the cosets of 2047 are refused by the budget before divisors
+        # trial-divides q, which for q = 2**61 - 1 tries about 1.5e9 candidates
+        monkeypatch.setattr(numtheory, "MAX_ORBIT_LENGTH", 64)
+        for identity in (check_coset_sum_identity, moebius_inverted_coset_sum):
+            with mock.patch.object(exponents, "divisors", side_effect=AssertionError), \
+                    pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 64"):
+                identity(2047)
+        # q itself is checked first, so an even q is named, not its divisor 2
+        with pytest.raises(ValueError, match="got 8"):
+            check_coset_sum_identity(8)
+
     def test_coset_identities_equal_the_per_q_checks(self):
         rows = list(coset_identities(301))
         assert [q for q, _, _ in rows] == list(range(3, 302, 2))
@@ -422,15 +434,15 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("q", [3, 7, 9, 15, 17, 45, 63, 105, 127, 341, 1023, 3003])
     def test_coset_means_equal_per_orbit_means(self, q):
-        dec = coset_decomposition(q)
-        assert exponents._coset_means(dec) == [
-            scalar_orbit_mean(orbit[0], q) for orbit in dec.unit_orbits]
+        cosets = coset_decomposition(q)
+        assert exponents._coset_means(cosets, q) == [
+            scalar_orbit_mean(orbit[0], q) for orbit in cosets]
 
     @given(q=st.integers(1, 2000).map(lambda i: 2 * i + 1))
     def test_coset_means_equal_per_orbit_means_for_any_q(self, q):
-        dec = coset_decomposition(q)
-        assert exponents._coset_means(dec) == [
-            scalar_orbit_mean(orbit[0], q) for orbit in dec.unit_orbits]
+        cosets = coset_decomposition(q)
+        assert exponents._coset_means(cosets, q) == [
+            scalar_orbit_mean(orbit[0], q) for orbit in cosets]
 
     # -1 lies in S_q for 9 = 2**3 + 1, 2**53 + 1 and 2**64 + 1 (the last two on
     # the object-array path), not for 7: S_7 = {1, 2, 4}
@@ -457,7 +469,7 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("q", [7, 9, 15, 341])
     def test_coset_means_take_one_term_per_half_distance(self, terms, q):
-        exponents._coset_means(coset_decomposition(q))
+        exponents._coset_means(coset_decomposition(q), q)
         units = [n for n in range(1, q) if math.gcd(n, q) == 1]
         assert terms == [len(units) // 2]
 
@@ -485,9 +497,9 @@ class TestScreen:
     def test_rows_equal_the_unscreened_positive_coset_means(self):
         expected = []
         for q in range(7, 1500, 2):
-            dec = coset_decomposition(q)
+            cosets = coset_decomposition(q)
             expected += [(q, p, value.hex())
-                         for p, value in zip(dec.unit_representatives, exponents._coset_means(dec))
+                         for p, value in zip(cosets[:, 0].tolist(), exponents._coset_means(cosets, q))
                          if value > 0.0]
         got = [(q, p, value.hex()) for q, p, value in enumerate_positive_exponents(1500)]
         assert got == expected
@@ -495,18 +507,18 @@ class TestScreen:
     def test_estimates_are_far_closer_than_the_margin(self):
         worst = 0.0
         for q in range(3, 1500, 2):
-            dec = coset_decomposition(q)
-            screened = exponents._screen_means(dec)
-            worst = max(worst, np.max(np.abs(screened - exponents._coset_means(dec))))
+            cosets = coset_decomposition(q)
+            screened = exponents._screen_means(cosets, q)
+            worst = max(worst, np.max(np.abs(screened - exponents._coset_means(cosets, q))))
         assert worst < exponents._SCREEN_MARGIN / 1000
 
     # TestSignCertificate.NEAR_ZERO: the cosets with q < 10**4 closest to 0
     @pytest.mark.parametrize("q, p", [(1285, 129), (5461, 537), (4097, 411)])
     def test_near_zero_cosets(self, q, p):
-        dec = coset_decomposition(q)
-        row = dec.unit_representatives.index(p)
-        exact = exponents._coset_means(dec)[row]
-        assert abs(exponents._screen_means(dec)[row] - exact) < exponents._SCREEN_MARGIN / 1000
+        cosets = coset_decomposition(q)
+        row = cosets[:, 0].tolist().index(p)
+        exact = exponents._coset_means(cosets, q)[row]
+        assert abs(exponents._screen_means(cosets, q)[row] - exact) < exponents._SCREEN_MARGIN / 1000
         listed = [(rep, value) for _, rep, value in exponents._positive_rows(q)]
         assert ((p, exact) in listed) == (exact > 0.0) == (q == 4097)
 

@@ -133,24 +133,24 @@ def test_orbit_length_equals_order_for_units():
 
 
 def test_coset_decomposition_q7():
-    dec = coset_decomposition(7)
-    assert dec.unit_orbits.tolist() == [[1, 2, 4], [3, 6, 5]]
-    assert dec.unit_representatives == [1, 3]
-    assert dec.order_of_two == 3
+    cosets = coset_decomposition(7)
+    assert cosets.tolist() == [[1, 2, 4], [3, 6, 5]]
+    assert cosets[:, 0].tolist() == [1, 3]
+    assert cosets.shape[1] == 3
 
 
 def test_coset_decomposition_q9():
-    dec = coset_decomposition(9)
-    assert dec.unit_orbits.tolist() == [[1, 2, 4, 8, 7, 5]]
+    cosets = coset_decomposition(9)
+    assert cosets.tolist() == [[1, 2, 4, 8, 7, 5]]
     # the non-units {3, 6} form the orbit 3 * S_3, outside the decomposition
     assert sorted(doubling_orbit(3, 9)) == [3, 6]
-    assert dec.order_of_two == 6
+    assert cosets.shape[1] == 6
 
 
 def test_coset_decomposition_q17():
-    dec = coset_decomposition(17)
-    assert dec.unit_representatives == [1, 3]
-    assert all(len(o) == 8 for o in dec.unit_orbits)
+    cosets = coset_decomposition(17)
+    assert cosets[:, 0].tolist() == [1, 3]
+    assert all(len(o) == 8 for o in cosets)
 
 
 def test_coset_decomposition_rejects_even():
@@ -160,8 +160,8 @@ def test_coset_decomposition_rejects_even():
 
 @pytest.mark.parametrize("q", list(range(3, 402, 2)))
 def test_decomposition_invariants(q):
-    dec = coset_decomposition(q)
-    rows = dec.unit_orbits.tolist()
+    cosets = coset_decomposition(q)
+    rows = cosets.tolist()
     # the rows partition the unit group U_q
     units = [x for x in range(1, q) if math.gcd(x, q) == 1]
     assert sorted(x for row in rows for x in row) == units
@@ -173,15 +173,15 @@ def test_decomposition_invariants(q):
     # row 0 is the subgroup generated by 2
     assert rows[0] == [pow(2, j, q) for j in range(mult_order_of_two(q))]
     # cosets have equal cardinality and exhaust the unit group
-    assert all(len(row) == dec.order_of_two for row in rows)
-    assert len(rows) * dec.order_of_two == euler_phi(q)
+    assert all(len(row) == cosets.shape[1] for row in rows)
+    assert len(rows) * cosets.shape[1] == euler_phi(q)
     # deterministic ordering by representative
-    reps = dec.unit_representatives
+    reps = cosets[:, 0].tolist()
     assert reps == sorted(reps)
     # the non-units: d times the unit cosets of q/d, each a doubling orbit mod q
     rest = []
     for d in divisors(q)[1:-1]:
-        for row in coset_decomposition(q // d).unit_orbits.tolist():
+        for row in coset_decomposition(q // d).tolist():
             orbit = [d * x for x in row]
             assert orbit == doubling_orbit(orbit[0], q).tolist()
             rest += orbit
@@ -190,8 +190,8 @@ def test_decomposition_invariants(q):
 
 def test_totient_sum_up_to_2000():
     for q in range(3, 2001, 2):
-        dec = coset_decomposition(q)
-        assert sum(len(o) for o in dec.unit_orbits) == euler_phi(q)
+        cosets = coset_decomposition(q)
+        assert sum(len(o) for o in cosets) == euler_phi(q)
 
 
 def test_orbit_longer_than_the_budget_raises(monkeypatch):
@@ -215,7 +215,7 @@ def test_modulus_above_the_budget_raises_before_walking(monkeypatch):
     with mock.patch.object(numtheory, "_doubling_cycle", side_effect=AssertionError), \
             pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 64"):
         coset_decomposition(2047)
-    assert coset_decomposition(63).order_of_two == 6
+    assert coset_decomposition(63).shape[1] == 6
 
 
 def plain_cycle(p: int, q: int, limit: int) -> list[int]:
@@ -260,7 +260,7 @@ def test_exact_quotients_round_each_fraction_once(q, picks):
 
 
 def test_exact_quotients_keep_the_shape_of_a_residue_table():
-    rows = coset_decomposition(9).unit_orbits
+    rows = coset_decomposition(9)
     value, half = numtheory.exact_quotients(rows, 9)
     assert value.shape == half.shape == rows.shape
     assert half[0].tolist() == [1 / 9, 2 / 9, 4 / 9, 1 / 9, 2 / 9, 4 / 9]

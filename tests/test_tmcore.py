@@ -13,16 +13,16 @@ from tmscaling.tmcore import exp_sum_direct, exp_sum_recursive, tm_word
 
 
 def test_word_level_0():
-    assert tm_word(0).symbols.tolist() == [1]
+    assert tm_word(0).tolist() == [1]
 
 
 def test_word_level_1():
-    assert tm_word(1).symbols.tolist() == [1, -1]
+    assert tm_word(1).tolist() == [1, -1]
 
 
 def test_word_level_3():
     # frozen from the bit-count parity oracle
-    assert tm_word(3).symbols.tolist() == [1, -1, -1, 1, -1, 1, 1, -1]
+    assert tm_word(3).tolist() == [1, -1, -1, 1, -1, 1, 1, -1]
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -30,15 +30,23 @@ def test_word_matches_popcount_parity(n):
     word = tm_word(n)
     assert len(word) == 2 ** n
     expected = [(-1) ** bin(l).count("1") for l in range(2 ** n)]
-    assert word.symbols.tolist() == expected
+    assert word.tolist() == expected
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_word_recursion_structure(n):
-    prev = tm_word(n - 1).symbols
-    curr = tm_word(n).symbols
+    prev = tm_word(n - 1)
+    curr = tm_word(n)
     assert (curr[: 2 ** (n - 1)] == prev).all()
     assert (curr[2 ** (n - 1):] == -prev).all()
+
+
+def test_word_is_read_only_and_cached():
+    word = tm_word(4)
+    with pytest.raises(ValueError):
+        word[0] = -1
+    assert tm_word(4) is word
+    assert word.tolist() == [(-1) ** bin(l).count("1") for l in range(16)]
 
 
 def test_word_level_cap():
@@ -50,33 +58,33 @@ def test_word_level_cap():
 
 def test_direct_level_0_is_one():
     for k in (0.0, 0.37, Fraction(1, 3)):
-        assert exp_sum_direct(0, k).value == 1.0
+        assert exp_sum_direct(0, k) == 1.0
 
 
 def test_direct_level_1_at_zero():
-    assert exp_sum_direct(1, 0).value == 0.0
+    assert exp_sum_direct(1, 0) == 0.0
 
 
 def test_direct_level_2_at_one_third():
     # |g_2(1/3)|^2 = 4 * (3/2)^2 = 9
-    assert exp_sum_direct(2, Fraction(1, 3)).magnitude_sq == pytest.approx(9.0, rel=1e-12)
+    assert abs(exp_sum_direct(2, Fraction(1, 3))) ** 2 == pytest.approx(9.0, rel=1e-12)
 
 
 def test_recursive_level_1_at_one_half():
-    value = exp_sum_recursive(1, Fraction(1, 2)).value
+    value = exp_sum_recursive(1, Fraction(1, 2))
     assert value == pytest.approx(2.0 + 0.0j, abs=1e-12)
 
 
 def test_recursive_level_10_at_one_third():
     # every squared factor contributes 2 * (3/2)
     expected = 2.0 ** 10 * 1.5 ** 10
-    assert exp_sum_recursive(10, Fraction(1, 3)).magnitude_sq == pytest.approx(
+    assert abs(exp_sum_recursive(10, Fraction(1, 3))) ** 2 == pytest.approx(
         expected, rel=1e-12)
 
 
 def test_direct_matches_recursive_at_float_sample():
-    d = exp_sum_direct(5, 0.1371).value
-    r = exp_sum_recursive(5, 0.1371).value
+    d = exp_sum_direct(5, 0.1371)
+    r = exp_sum_recursive(5, 0.1371)
     assert abs(d - r) <= 1e-10 * abs(r)
 
 
@@ -85,8 +93,8 @@ def test_direct_vs_recursive_random_floats(n):
     rng = random.Random(9000 + n)
     for _ in range(12):
         k = rng.random()
-        d = exp_sum_direct(n, k).value
-        r = exp_sum_recursive(n, k).value
+        d = exp_sum_direct(n, k)
+        r = exp_sum_recursive(n, k)
         assert abs(d - r) <= 1e-8 * 2 ** n
 
 
@@ -94,8 +102,8 @@ def test_direct_vs_recursive_random_floats(n):
        k=st.one_of(st.fractions(0, 1, max_denominator=10 ** 6),
                    st.floats(0.0, 1.0, exclude_max=True)))
 def test_recursive_agrees_with_direct(n, k):
-    d = exp_sum_direct(n, k).value
-    r = exp_sum_recursive(n, k).value
+    d = exp_sum_direct(n, k)
+    r = exp_sum_recursive(n, k)
     assert abs(d - r) <= 1e-9 * max(1.0, abs(d))
 
 
@@ -105,8 +113,8 @@ def test_squared_recursion_identity():
     for _ in range(50):
         k = rng.random()
         n = rng.randrange(0, 12)
-        gn = exp_sum_recursive(n, k).magnitude_sq
-        gn1 = exp_sum_recursive(n + 1, k).magnitude_sq
+        gn = abs(exp_sum_recursive(n, k)) ** 2
+        gn1 = abs(exp_sum_recursive(n + 1, k)) ** 2
         factor = 2.0 * (1.0 - math.cos(2.0 ** (n + 1) * math.pi * k))
         if gn1 == 0.0 and gn * factor < 1e-12:
             continue
@@ -119,7 +127,7 @@ def test_parseval_mean_square_is_2_to_n(n):
     # uniform mean over 2^{n+2} nodes equals the integral exactly
     grid = 2 ** (n + 2)
     total = math.fsum(
-        exp_sum_recursive(n, Fraction(j, grid)).magnitude_sq for j in range(grid)
+        abs(exp_sum_recursive(n, Fraction(j, grid))) ** 2 for j in range(grid)
     )
     assert total / grid == pytest.approx(2.0 ** n, rel=1e-11)
 
@@ -128,7 +136,7 @@ def test_parseval_mean_square_is_2_to_n(n):
 def test_parseval_direct_path(n):
     grid = 2 ** (n + 2)
     total = math.fsum(
-        exp_sum_direct(n, Fraction(j, grid)).magnitude_sq for j in range(grid)
+        abs(exp_sum_direct(n, Fraction(j, grid))) ** 2 for j in range(grid)
     )
     assert total / grid == pytest.approx(2.0 ** n, rel=1e-11)
 
@@ -144,12 +152,12 @@ def test_direct_brute_force_cross_check():
     for _ in range(5):
         k = rng.random()
         n = rng.randrange(0, 9)
-        word = tm_word(n).symbols
+        word = tm_word(n)
         expected = sum(
             int(word[l]) * cmath.exp(-2j * math.pi * math.fmod(k * l, 1.0))
             for l in range(2 ** n)
         )
-        got = exp_sum_direct(n, k).value
+        got = exp_sum_direct(n, k)
         assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
@@ -158,10 +166,10 @@ def test_recursive_on_stream_matches_truncated_rational():
 
     n = 10
     stream = random_bits(321)
-    r = exp_sum_recursive(n, stream).value
+    r = exp_sum_recursive(n, stream)
     truncated = Fraction(stream.window_int(0, 64 + n), 1 << (64 + n))
-    d = exp_sum_direct(n, stream).value
-    r2 = exp_sum_recursive(n, truncated).value
+    d = exp_sum_direct(n, stream)
+    r2 = exp_sum_recursive(n, truncated)
     assert abs(d - r) <= 1e-8 * 2 ** n
     assert abs(r2 - r) <= 1e-8 * 2 ** n
 
@@ -171,7 +179,7 @@ def test_magnitude_bound():
     for _ in range(20):
         k = rng.random()
         n = rng.randrange(0, 12)
-        assert exp_sum_recursive(n, k).magnitude_sq <= 4.0 ** n * (1 + 1e-12)
+        assert abs(exp_sum_recursive(n, k)) ** 2 <= 4.0 ** n * (1 + 1e-12)
 
 
 def test_direct_phases_round_once_above_2_to_53():
