@@ -32,7 +32,7 @@ import sys
 from decimal import Decimal
 
 from . import exponents, expansions, riesz
-from .serialize import csv_lines, format_float, json_number, json_rows
+from .serialize import csv_lines, format_float, json_number, json_rows, text_rows
 from .streams import DigitStream, PowersOfTwo, flipped, random_bits
 from .wavenumber import MAX_STREAM_LEVELS, WINDOW, WaveNumber
 
@@ -136,8 +136,8 @@ def _exponent(args):
              f"method = {result.method}",
              f"orbit_size = {d['orbit_size']}",
              f"representative = {d['representative']}",
-             ((" " if i else "orbit = ") + str(orbit[i:i + _ORBIT_SLICE].tolist())[1:-1]
-              .replace(",", "") for i in range(0, len(orbit), _ORBIT_SLICE))]
+             ((" " if i else "orbit = ") + text_rows([orbit[i:i + _ORBIT_SLICE]], sep=" ")
+              for i in range(0, len(orbit), _ORBIT_SLICE))]
     if wn.r:
         lines.append(f"note = dyadic prefactor 2^{wn.r} ignored in the limit")
     return lines
@@ -188,8 +188,8 @@ def _trace_output(fmt: str, digits: int, tr: riesz.RieszTrace, text: list[str], 
     lines = [*text, *(f"{name} = {format_float(x, digits)}" for name, x in numbers.items())]
     if fmt == "plain":
         return lines
-    rows = ("\n".join([""] * bool(i) + csv_lines(
-                riesz.TRACE_CSV_HEADER, tr.rows(i, i + _ORBIT_SLICE), digits)[1:])
+    columns = [tr.samples[name] for name in tr.samples.dtype.names]
+    rows = ("\n" * bool(i) + text_rows([c[i:i + _ORBIT_SLICE] for c in columns], digits)
             for i in range(0, len(tr.samples), _ORBIT_SLICE))
     return [*(f"# {line}" for line in lines), riesz.TRACE_CSV_HEADER, rows]
 

@@ -32,10 +32,17 @@ def _require_odd_modulus(q: int) -> None:
         raise ValueError(f"modulus must be odd and >= 3, got {q}")
 
 
+def _require_trial_division_budget(n: int) -> None:
+    if n > MAX_ORBIT_LENGTH**2:     # trial division walks up to sqrt(n)
+        raise ValueError(f"{n} is above MAX_ORBIT_LENGTH**2 = {MAX_ORBIT_LENGTH**2}: trial division "
+                         f"would try more than MAX_ORBIT_LENGTH = {MAX_ORBIT_LENGTH} candidates")
+
+
 def divisors(q: int) -> list[int]:
     """All positive divisors of q in increasing order."""
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
+    _require_trial_division_budget(q)
     small, large = [], []
     d = 1
     while d * d <= q:
@@ -51,6 +58,7 @@ def moebius(n: int) -> int:
     """Moebius function: (-1)**k for squarefree n with k prime factors, else 0."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    _require_trial_division_budget(n)
     sign = 1
     p = 2
     while p * p <= n:

@@ -118,9 +118,9 @@ class RieszTrace:
     def final_running_exponent(self) -> float:
         return float(self.samples.running_exponent[-1])
 
-    def rows(self, start: int = 0, stop: int | None = None):
-        """(n, log2_f, running_exponent) per level of ``samples[start:stop]``, as Python numbers."""
-        s = self.samples[start:stop]
+    def rows(self):
+        """(n, log2_f, running_exponent) per level, as Python numbers."""
+        s = self.samples
         return zip(s.level.tolist(), s.log2_f.tolist(), s.running_exponent.tolist())
 
     def to_csv_lines(self, digits: int = 6) -> list[str]:
@@ -139,17 +139,29 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if sample_levels is None:
         sample_levels = range(1, n_max + 1)
+    # a range with a positive step is sorted and unique, and slices and counts without a walk
+    ordered = isinstance(sample_levels, range) and sample_levels.step > 0
     try:
-        levels = np.fromiter(itertools.islice(sample_levels, MAX_TRACE_SAMPLES + 1), np.int64)
+        if not ordered:
+            levels = np.fromiter(itertools.islice(sample_levels, MAX_TRACE_SAMPLES + 1),
+                                 np.int64)
+        elif not sample_levels or len(sample_levels[:MAX_TRACE_SAMPLES + 1]) > MAX_TRACE_SAMPLES:
+            levels = sample_levels[:MAX_TRACE_SAMPLES + 1]      # refused below
+        elif -2**63 <= sample_levels[0] and sample_levels[-1] < 2**63:
+            levels = np.arange(sample_levels[0], sample_levels[-1] + 1, sample_levels.step,
+                               dtype=np.int64)
+        else:
+            raise OverflowError
     except OverflowError:
         raise ValueError(f"sample levels outside 1..{n_max}: one exceeds int64") from None
-    if levels.size > MAX_TRACE_SAMPLES:
+    if len(levels) > MAX_TRACE_SAMPLES:
         raise ValueError(f"more levels than MAX_TRACE_SAMPLES = {MAX_TRACE_SAMPLES} to record")
-    if not levels.size:
+    if not len(levels):
         raise ValueError("sample_levels is empty, so no level would be recorded")
-    # np.unique hashes; dropping repeats from the sorted array is faster
-    levels = np.sort(levels)
-    levels = levels[np.concatenate(([True], np.diff(levels) > 0))]
+    if not ordered:
+        # np.unique hashes; dropping repeats from the sorted array is faster
+        levels = np.sort(levels)
+        levels = levels[np.concatenate(([True], np.diff(levels) > 0))]
     bad = levels[(levels < 1) | (levels > n_max)]
     if bad.size:
         raise ValueError(f"sample levels outside 1..{n_max}: {bad.tolist()}")

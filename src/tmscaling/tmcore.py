@@ -20,6 +20,7 @@ phase.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -115,5 +116,9 @@ def exp_sum_recursive(n: int, k: WaveNumberLike) -> complex:
         c = np.cos(np.pi * block.half_dist)
         c[block.value > 0.5] *= -1.0
         # 1 - exp(-2 pi i x) = 2 sin(pi x) * (sin(pi x) + i cos(pi x))
-        g *= complex(np.prod((2.0 * s) * (s + 1j * c)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            g *= complex(np.prod((2.0 * s) * (s + 1j * c)))
+        if not (math.isfinite(g.real) and math.isfinite(g.imag)):
+            raise ValueError(f"g_n(k) for n = {n} leaves the float range: a partial "
+                             f"product passes {sys.float_info.max:.4g}")
     return g

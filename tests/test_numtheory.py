@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -41,6 +42,19 @@ def test_divisors_against_brute_force(n):
 def test_divisors_rejects_nonpositive():
     with pytest.raises(ValueError):
         divisors(0)
+
+
+@pytest.mark.parametrize("call", [divisors, moebius])
+def test_trial_division_refuses_past_its_budget(call, monkeypatch):
+    # sqrt(2**61 - 1) is about 1.5e9 candidates; the budget is MAX_ORBIT_LENGTH of them
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"MAX_ORBIT_LENGTH\*\*2 = 17592186044416"):
+        call(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    monkeypatch.setattr(numtheory, "MAX_ORBIT_LENGTH", 10)
+    assert call(100) == {divisors: [1, 2, 4, 5, 10, 20, 25, 50, 100], moebius: 0}[call]
+    with pytest.raises(ValueError, match="MAX_ORBIT_LENGTH = 10 candidates"):
+        call(101)
 
 
 def test_moebius_small_values():

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -269,6 +270,31 @@ class TestTrace:
         for levels in (None, range(1, 10**14), itertools.count(1)):
             with pytest.raises(ValueError, match="MAX_TRACE_SAMPLES = 100"):
                 trace(Fraction(1, 3), 10**14, sample_levels=levels)
+
+    @pytest.mark.parametrize("levels", [range(1, 200), range(3, 200, 7), range(5, 6),
+                                        range(190, 200, 3)])
+    def test_range_and_list_levels_give_identical_samples(self, levels):
+        by_range = trace(Fraction(1, 9), 199, sample_levels=levels).samples
+        by_list = trace(Fraction(1, 9), 199, sample_levels=list(levels)[::-1]).samples
+        assert by_range.dtype == by_list.dtype
+        assert by_range.tobytes() == by_list.tobytes()
+
+    def test_a_long_range_is_refused_without_allocating(self):
+        tracemalloc.start()
+        try:
+            for levels in (range(1, 10**15), range(0, 10**30, 3)):
+                with pytest.raises(ValueError, match="MAX_TRACE_SAMPLES = 4194304"):
+                    trace(Fraction(1, 3), 10**15, sample_levels=levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20     # the levels at the cap alone take 32 MiB
+        with pytest.raises(ValueError, match="one exceeds int64"):
+            trace(Fraction(1, 3), 10**15, sample_levels=range(5, 2**64, 2**63))
+        with pytest.raises(ValueError, match="is empty"):
+            trace(Fraction(1, 3), 10, sample_levels=range(4, 4))
+        with pytest.raises(ValueError, match=r"outside 1\.\.10: \[0, 11\]$"):
+            trace(Fraction(1, 3), 10, sample_levels=range(0, 12, 11))
 
     def test_samples_are_columns(self):
         tr = trace(Fraction(1, 9), 12, sample_levels=[3, 6, 12])

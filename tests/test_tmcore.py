@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -205,3 +206,12 @@ def test_direct_phases_are_exact_fractions(m, den, count, block):
 def test_recursive_sum_refuses_negative_levels(n):
     with pytest.raises(ValueError, match=f"level must be non-negative, got {n}"):
         exp_sum_recursive(n, "1/3")
+
+
+def test_recursive_sum_past_the_float_range_raises_without_warnings():
+    # |g_n(1/3)| = 3**(n/2): about 5.5e307 at n = 1290, past the largest double by n = 1300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(exp_sum_recursive(1290, "1/3")) == pytest.approx(3.0**645, rel=1e-9)
+        with pytest.raises(ValueError, match="n = 1300 leaves the float range"):
+            exp_sum_recursive(1300, "1/3")
