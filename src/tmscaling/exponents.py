@@ -69,13 +69,13 @@ def _log_terms(residues, q: int) -> np.ndarray:
     of ``riesz``: n and q - n give the same bits, so callers pass each
     half-distance once.  numpy does only exactly rounded IEEE steps (minimum,
     subtraction, division, products, 1 + 2x); sin and log2 are mapped as
-    ``math.sin`` and ``math.log2`` (libm): numpy's own may differ from libm
-    in the last bit, by numpy build and CPU, so they only screen cosets in
-    ``_positive_rows``.  The half-distances come from
+    ``math.sin`` and ``math.log2`` (libm, over a memoryview): numpy's own may
+    differ from libm in the last bit, by numpy build and CPU, so they only
+    screen cosets in ``_positive_rows``.  The half-distances come from
     ``numtheory.exact_quotients``, for any size of q.
     """
     angle = np.pi * exact_quotients(residues, q)[1]
-    logs = map(math.log2, map(math.sin, angle.ravel().tolist()))
+    logs = map(math.log2, map(math.sin, memoryview(angle.ravel())))
     return 1.0 + 2.0 * np.fromiter(logs, float, angle.size).reshape(angle.shape)
 
 
@@ -84,28 +84,30 @@ def _orbit_mean(orbit: np.ndarray, q: int) -> float:
 
     If -1 is in S_q, orbit[k//2 + i] == q - orbit[i] repeats the terms of the
     first half, whose mean has the same bits (fsum rounds once; 2x is exact).
-    libm and fsum take the terms ``numtheory._STEP`` residues at a time, so no
-    list of floats outgrows one slice, and the bits do not depend on the slicing.
+    libm and fsum take the terms ``numtheory._STEP`` residues at a time, through
+    memoryviews, so no list of floats is built, and the bits do not depend on the slicing.
     """
     k = len(orbit)
     if k % 2 == 0 and orbit[k // 2] == q - orbit[0]:
         orbit = orbit[:k // 2]
     step = numtheory._STEP
-    slices = (_log_terms(orbit[i:i + step], q).tolist() for i in range(0, len(orbit), step))
+    slices = (memoryview(_log_terms(orbit[i:i + step], q)) for i in range(0, len(orbit), step))
     return math.fsum(itertools.chain.from_iterable(slices)) / len(orbit)
 
 
 def _coset_means(cosets: np.ndarray, q: int) -> list[float]:
     """``_orbit_mean`` of every row of ``cosets``, a (cosets x order) array of orbits mod q.
 
-    u*S_q and -u*S_q share half-distances: one table of terms per q, gathered.
+    u*S_q and -u*S_q share half-distances: one table of terms per q, gathered;
+    fsum reads each row as a slice of a memoryview.
     """
     half = np.minimum(cosets, q - cosets)
     seen = np.zeros(q // 2 + 1, dtype=bool)
     seen[half] = True
     table = np.zeros(q // 2 + 1)
     table[seen] = _log_terms(np.flatnonzero(seen), q)
-    return [math.fsum(row) / cosets.shape[1] for row in table[half].tolist()]
+    terms, order = memoryview(table[half].ravel()), cosets.shape[1]
+    return [math.fsum(terms[i:i + order]) / order for i in range(0, len(terms), order)]
 
 
 def orbit_log_mean(p: int, q: int) -> float:

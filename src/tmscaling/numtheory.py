@@ -88,7 +88,8 @@ def _doubling_cycle(p: int, q: int, limit: int) -> np.ndarray:
     """p, 2p, 4p, ... (mod q) until the cycle closes, at most ``limit`` residues.
 
     The first _HEAD residues, one doubling at a time; then block doubling:
-    the next block is the cycle so far times 2**len (mod q), in slices of at
+    the one array grows in place to twice its length (at most ``limit``) and
+    its new tail is the cycle so far times 2**len (mod q), in slices of at
     most _STEP residues.  Residues are int64 below 2**31, where products stay
     below 2**62, and Python ints in an object array above.  Rather than hold
     more than MAX_ORBIT_LENGTH residues of an open cycle, raises ValueError.
@@ -102,19 +103,16 @@ def _doubling_cycle(p: int, q: int, limit: int) -> np.ndarray:
     cycle = np.array(head, dtype=np.int64 if q < 2**31 else object)
     if x == start:
         return cycle
-    while len(cycle) < limit:
-        n = len(cycle)
+    while (n := len(cycle)) < limit:
         factor = pow(2, n, q)
-        grown = np.empty(min(2 * n, limit), cycle.dtype)
-        grown[:n] = cycle
-        for i in range(n, len(grown), _STEP):
-            block = cycle[i - n:min(i + _STEP, len(grown)) - n] * factor % q
-            grown[i:i + len(block)] = block
+        cycle.resize(min(2 * n, limit), refcheck=False)   # in place: no view of it exists
+        for i in range(n, len(cycle), _STEP):
+            block = cycle[i - n:min(i + _STEP, len(cycle)) - n] * factor % q
+            cycle[i:i + len(block)] = block
             closed = np.flatnonzero(block == start)
             if closed.size:
-                grown.resize(i + closed[0], refcheck=False)   # in place: no view of it exists
-                return grown
-        cycle = grown
+                cycle.resize(i + closed[0], refcheck=False)
+                return cycle
     if len(cycle) > MAX_ORBIT_LENGTH:
         raise ValueError(f"the doubling orbit of {start} mod {q} is longer than "
                          f"the budget of MAX_ORBIT_LENGTH = {MAX_ORBIT_LENGTH} residues")

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numtheory
 from .numtheory import exact_quotients
 from .serialize import csv_lines
 from .streams import DigitStream
@@ -243,16 +244,24 @@ def interval_mass(n: int, a: float, b: float) -> float:
     return float(_grid_density(n, x).sum() * h)
 
 
+def _require_array_budget(name: str, value: int) -> None:
+    if value > numtheory.MAX_ORBIT_LENGTH:
+        raise ValueError(f"{name} = {value} is above the budget of "
+                         f"MAX_ORBIT_LENGTH = {numtheory.MAX_ORBIT_LENGTH}")
+
+
 def check_log_integral(nodes: int) -> float:
     """Midpoint-rule estimate of integral_0^1 log(1 - cos(2 pi x)) dx.
 
     The integrand has integrable log singularities at both endpoints; the
     midpoint grid avoids them, and the estimate converges to -log(2).
     (For this particular integrand the midpoint defect is exactly
-    2 log(2)/nodes, which the tests exploit.)  Natural log.
+    2 log(2)/nodes, which the tests exploit.)  Natural log.  At most
+    ``numtheory.MAX_ORBIT_LENGTH`` nodes, refused before any array is built.
     """
     if nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
+    _require_array_budget("nodes", nodes)
     half = exact_quotients(2 * np.arange(nodes) + 1, 2 * nodes)[1]
     return float(np.mean(LOG2 + 2.0 * np.log(np.sin(np.pi * half))))
 
@@ -261,10 +270,12 @@ def check_qsum(n: int) -> tuple[float, float]:
     """Both sides of sum_{m=1}^{n-1} log(1 - cos(2 pi m/n)) = log(n**2 / 2**(n-1)).
 
     Left side by direct summation, right side in closed form; natural log.
-    Holds for every n >= 1 (empty sum = log 1 at n = 1).
+    Holds for every n >= 1 (empty sum = log 1 at n = 1).  n may be at most
+    ``numtheory.MAX_ORBIT_LENGTH``, refused before any array is built.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _require_array_budget("n", n)
     if n == 1:
         return 0.0, 0.0
     half = exact_quotients(np.arange(1, n), n)[1]

@@ -129,6 +129,21 @@ def test_doubling_orbit_holds_no_memory_beyond_its_residues(q):
     assert sum(stat.size for stat in held.statistics("filename")) <= orbit.nbytes
 
 
+# the orbit grows in one buffer: a second, longer copy held in the last doubling
+# round would peak near 1.5 to 2 times orbit.nbytes; the 2 MB above the orbit
+# leave room for a few _STEP-residue temporaries of the block step
+@pytest.mark.parametrize("q", [1000003, 4194187])
+def test_doubling_orbit_peaks_near_its_own_size(q):
+    tracemalloc.start()
+    try:
+        orbit = doubling_orbit(1, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(orbit) == q - 1      # 2 is a primitive root of both primes
+    assert peak <= orbit.nbytes + 2 * 2**20
+
+
 def test_doubling_orbit_rejects_multiple_of_q():
     with pytest.raises(ValueError):
         doubling_orbit(0, 7)

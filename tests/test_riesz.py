@@ -444,7 +444,23 @@ class TestQSum:
     pytest.param(lambda: partial_product_log("1/3", -1), "level must be non-negative, got -1",
                  id="partial_product_log"),
     pytest.param(lambda: check_qsum(0), "n must be >= 1, got 0", id="check_qsum"),
+    # above MAX_ORBIT_LENGTH = 2**22: refused before the arange of 10**9 terms is built
+    pytest.param(lambda: check_qsum(10**9),
+                 "n = 1000000000 is above the budget of MAX_ORBIT_LENGTH = 4194304",
+                 id="check_qsum_above_budget"),
+    pytest.param(lambda: check_log_integral(10**9),
+                 "nodes = 1000000000 is above the budget of MAX_ORBIT_LENGTH = 4194304",
+                 id="check_log_integral_above_budget"),
 ])
 def test_levels_below_the_domain_are_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("check", [check_qsum, check_log_integral])
+def test_analytic_checks_run_up_to_the_budget_and_refuse_past_it(check, monkeypatch):
+    monkeypatch.setattr(riesz.numtheory, "MAX_ORBIT_LENGTH", 64)
+    check(64)
+    with mock.patch.object(riesz, "exact_quotients", side_effect=AssertionError), \
+            pytest.raises(ValueError, match=re.escape("= 65 is above the budget of MAX_ORBIT_LENGTH = 64")):
+        check(65)
