@@ -243,8 +243,8 @@ def _mix(args):
 def _identities(args):
     """The checks' output and exit code: 3 if a worst deviation is above ``--tol``."""
     worst_qsum = (0.0, None)
-    for n in range(2, args.qsum_max + 1):
-        lhs, rhs = riesz.check_qsum(n)
+    qsum_range = range(2, args.qsum_max + 1)
+    for n, (lhs, rhs) in zip(qsum_range, exponents._fan_out(riesz.check_qsum, qsum_range)):
         dev = abs(lhs - rhs) / abs(rhs) if rhs != 0 else abs(lhs)
         if dev > worst_qsum[0]:
             worst_qsum = (dev, n)

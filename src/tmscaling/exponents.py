@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -39,6 +41,9 @@ from .wavenumber import RationalLike, as_wave_number
 MAX_ENUMERATION_BOUND = 10_000
 #: cosets whose numpy mean is <= -_SCREEN_MARGIN skip libm; for q < 10**4 the two differ < 3e-15
 _SCREEN_MARGIN = 1e-9
+#: fewest items per share of ``_fan_out``: a fork costs about 5 ms until the child runs its
+#: share, and a 2-way fan-out of the q loops from the smallest q broke even at 256 to 512 items
+_MIN_SHARE = 192
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,71 @@ class ExponentResult:
     @property
     def is_extinct(self) -> bool:
         return self.kind == self.EXTINCT
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fan_out(fn, items) -> list:
+    """``[fn(x) for x in items]``, its strided shares ``items[i::n]`` run on n CPUs.
+
+    This process computes share 0, and a forked child each other share: it
+    pickles the share's results into a pipe and leaves by ``os._exit``, 0 once
+    they are sent and 1 on any exception.  A share whose child failed or could
+    not be started is computed here, so each value, and each error an item
+    raises, is the plain loop's.  n is the number of CPUs, capped so that a share
+    has at least ``_MIN_SHARE`` items; the plain loop runs if n < 2 or without ``os.fork``.
+    """
+    items = list(items)
+    n = min(_cpus(), len(items) // _MIN_SHARE)
+    if n < 2 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    shares, pids, pipes = {}, {}, {}
+    try:
+        for i in range(1, n):
+            try:
+                r, w = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    with os.fdopen(w, "wb") as f:
+                        pickle.dump([fn(x) for x in items[i::n]], f)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            pids[i], pipes[i] = pid, r
+        shares[0] = [fn(x) for x in items[::n]]
+        for i in list(pids):
+            with os.fdopen(pipes.pop(i), "rb") as f:   # to EOF first: a full pipe blocks the child
+                data = f.read()
+            status = os.waitpid(pids[i], 0)[1]
+            del pids[i]
+            if status == 0:
+                shares[i] = pickle.loads(data)
+    finally:
+        for r in pipes.values():
+            os.close(r)
+        for pid in pids.values():
+            os.kill(pid, 9)             # SIGKILL
+            os.waitpid(pid, 0)
+    out = [None] * len(items)
+    for i in range(n):
+        out[i::n] = shares[i] if i in shares else [fn(x) for x in items[i::n]]
+    return out
 
 
 def _log_terms(residues, q: int) -> np.ndarray:
@@ -207,9 +277,9 @@ def moebius_inverted_coset_sum(q: int) -> tuple[float, float]:
 
 def coset_identities(q_max: int) -> Iterator[tuple[int, tuple[float, float], tuple[float, float]]]:
     """(q, coset-sum pair, Moebius pair) for odd 3 <= q <= q_max, decomposing each q once."""
-    sums: dict[int, tuple[int, float]] = {}
-    for q in range(3, q_max + 1, 2):
-        sums[q] = _coset_sum(q)     # every divisor d > 1 of q is odd and <= q, so in sums
+    odd = range(3, q_max + 1, 2)
+    sums = dict(zip(odd, _fan_out(_coset_sum, odd)))   # holds every divisor d > 1 of each q
+    for q in odd:
         yield q, _coset_sum_pair(q, sums), _moebius_pair(q, sums)
 
 
@@ -239,14 +309,14 @@ def enumerate_positive_exponents(q_max: int) -> list[tuple[int, int, float]]:
     """
     if q_max > MAX_ENUMERATION_BOUND:
         raise ValueError(f"q_max capped at {MAX_ENUMERATION_BOUND}, got {q_max}")
-    return [row for q in range(7, q_max, 2) for row in _positive_rows(q)]
+    return [row for rows in _fan_out(_positive_rows, range(7, q_max, 2)) for row in rows]
 
 
 def figure_data(q_max: int) -> list[tuple[int, float, float]]:
     """(q, exponent of 1/q, g(q)) for odd 3 <= q < q_max, ascending."""
     if q_max > MAX_ENUMERATION_BOUND:
         raise ValueError(f"q_max capped at {MAX_ENUMERATION_BOUND}, got {q_max}")
-    return [(q, orbit_log_mean(1, q), g_closed_form(q)) for q in range(3, q_max, 2)]
+    return _fan_out(lambda q: (q, orbit_log_mean(1, q), g_closed_form(q)), range(3, q_max, 2))
 
 
 TABLE_CSV_HEADER = "q,p,beta"

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import numtheory
 from .numtheory import exact_quotients
-from .serialize import csv_lines
+from .serialize import text_rows
 from .streams import DigitStream
 from .wavenumber import WINDOW, LevelBlock, WaveNumberLike, as_wave_number, frac_levels
 
@@ -125,7 +125,9 @@ class RieszTrace:
         return zip(s.level.tolist(), s.log2_f.tolist(), s.running_exponent.tolist())
 
     def to_csv_lines(self, digits: int = 6) -> list[str]:
-        return csv_lines(TRACE_CSV_HEADER, self.rows(), digits)
+        """The csv header and one line per record, rendered from the record array's columns."""
+        text = text_rows([self.samples[name] for name in self.samples.dtype.names], digits)
+        return [TRACE_CSV_HEADER, *text.split("\n")] if text else [TRACE_CSV_HEADER]
 
 
 def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:

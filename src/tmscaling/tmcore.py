@@ -103,7 +103,8 @@ def exp_sum_recursive(n: int, k: WaveNumberLike) -> complex:
 
     Each factor is assembled from sin/cos at the exact distance of x_l to
     the nearest integer, so its magnitude 2 sin(pi x_l) matches the Riesz
-    factor bit-for-bit even when x_l is very close to an integer.
+    factor bit-for-bit even when x_l is very close to an integer.  Dyadic k
+    gives 0j; a product that leaves the float range either way raises ValueError.
     """
     if n < 0:
         raise ValueError(f"level must be non-negative, got {n}")
@@ -121,4 +122,7 @@ def exp_sum_recursive(n: int, k: WaveNumberLike) -> complex:
         if not (math.isfinite(g.real) and math.isfinite(g.imag)):
             raise ValueError(f"g_n(k) for n = {n} leaves the float range: a partial "
                              f"product passes {sys.float_info.max:.4g}")
+        if g == 0:              # no factor is 0, so a product underflowed
+            raise ValueError(f"g_n(k) for n = {n} leaves the float range: a partial "
+                             f"product falls below {math.ulp(0.0):.4g}")
     return g

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -522,7 +523,8 @@ class TestScreen:
         listed = [(rep, value) for _, rep, value in exponents._positive_rows(q)]
         assert ((p, exact) in listed) == (exact > 0.0) == (q == 4097)
 
-    def test_libm_takes_under_five_percent_of_the_unscreened_terms(self, terms):
+    def test_libm_takes_under_five_percent_of_the_unscreened_terms(self, terms, monkeypatch):
+        monkeypatch.setattr(exponents, "_cpus", lambda: 1)     # a forked child's calls go uncounted
         enumerate_positive_exponents(1000)
         # unscreened, each q sends one term per half-distance of its units
         unscreened = sum(euler_phi(q) // 2 for q in range(7, 1000, 2))
@@ -643,3 +645,90 @@ class TestSignCertificate:
 def test_bounds_above_the_enumeration_cap_are_refused(enumerate_up_to):
     with pytest.raises(ValueError, match="q_max capped at 10000, got 10001"):
         enumerate_up_to(10001)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFanOut:
+    """``_fan_out`` runs strided shares of a per-q loop in forked children, keeping every bit."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The calls of ``os.fork``; a share may be as small as 16 items."""
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(exponents, "_MIN_SHARE", 16)
+        return calls
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(exponents, "_cpus", lambda: n)
+
+    def outputs(self, capsys):
+        results = []
+        for call in (lambda: figure_data(1201), lambda: enumerate_positive_exponents(1201),
+                     lambda: list(coset_identities(301)),
+                     lambda: cli.main(["identities", "--qmax", "301", "--qsum-max", "400"])
+                     or capsys.readouterr().out):
+            results.append(repr(call()))   # repr spells every float exactly
+            assert_no_child_left()
+        return results
+
+    def test_one_and_three_shares_agree_bit_for_bit(self, forks, monkeypatch, capsys):
+        self.cpus(monkeypatch, 1)
+        expected = self.outputs(capsys)
+        assert forks == []
+        self.cpus(monkeypatch, 3)
+        assert self.outputs(capsys) == expected
+        # two children for figure, table and the cosets, and for the identities command's two loops
+        assert len(forks) == 2 * 5
+        assert "status = ok" in expected[-1]
+
+    def test_an_error_in_the_callers_share_propagates(self, forks, monkeypatch):
+        self.cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def fn(x):
+            if x == 30 and os.getpid() == parent:
+                raise ValueError("share 0 fails")
+            return x * x
+
+        with pytest.raises(ValueError, match="share 0 fails"):
+            exponents._fan_out(fn, range(60))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fail", [lambda: os._exit(1), lambda: 1 / 0])
+    def test_a_failing_child_is_recomputed_here(self, forks, monkeypatch, fail):
+        self.cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() != parent:
+                fail()
+            return x * x
+
+        assert exponents._fan_out(fn, range(60)) == [x * x for x in range(60)]
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_small_inputs_never_fork(self, monkeypatch):
+        self.cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError))
+        rows = figure_data(2 * 2 * exponents._MIN_SHARE)   # one item short of two shares
+        assert [q for q, _, _ in rows] == list(range(3, 4 * exponents._MIN_SHARE, 2))
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    def test_a_refused_fork_or_pipe_runs_the_shares_here(self, forks, monkeypatch, call):
+        self.cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, call, mock.Mock(side_effect=OSError("refused")))
+        assert exponents._fan_out(abs, range(-30, 30)) == [abs(x) for x in range(-30, 30)]
+        assert_no_child_left()

@@ -104,7 +104,11 @@ def test_direct_vs_recursive_random_floats(n):
                    st.floats(0.0, 1.0, exclude_max=True)))
 def test_recursive_agrees_with_direct(n, k):
     d = exp_sum_direct(n, k)
-    r = exp_sum_recursive(n, k)
+    try:
+        r = exp_sum_recursive(n, k)
+    except ValueError as err:   # a tiny k: |g_n(k)| passes below the float range
+        assert "falls below" in str(err)
+        r = 0j
     assert abs(d - r) <= 1e-9 * max(1.0, abs(d))
 
 
@@ -215,3 +219,13 @@ def test_recursive_sum_past_the_float_range_raises_without_warnings():
         assert abs(exp_sum_recursive(1290, "1/3")) == pytest.approx(3.0**645, rel=1e-9)
         with pytest.raises(ValueError, match="n = 1300 leaves the float range"):
             exp_sum_recursive(1300, "1/3")
+
+
+def test_recursive_sum_below_the_float_range_raises():
+    # log2 f_n(1/4194187) = -201969.56 at n = 200000, so |g_n| is about 2**-984.8, a
+    # normal double, yet inside a block the product passes below the smallest subnormal
+    assert abs(exp_sum_recursive(150_000, "1/4194187")) == pytest.approx(1.0562e-145, rel=1e-4)
+    with pytest.raises(ValueError, match="n = 200000 leaves the float range: .* falls below"):
+        exp_sum_recursive(200_000, "1/4194187")
+    # a dyadic k has a factor 0, and still gives 0j
+    assert exp_sum_recursive(200_000, "3/8") == 0j
