@@ -16,7 +16,6 @@ defect directly.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import pickle
@@ -25,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import numtheory, riesz
+from . import riesz
 from .numtheory import (
     _require_odd_modulus,
     coset_decomposition,
@@ -132,41 +131,8 @@ def _fan_out(fn, items) -> list:
     return out
 
 
-def _log_terms(residues, q: int) -> np.ndarray:
-    """log2(2 sin(pi n/q)**2) for every residue n, in the shape of ``residues``.
-
-    Each term is bit-equal to ``log_factor_from_half_dist(min(n, q - n) / q)``
-    of ``riesz``: n and q - n give the same bits, so callers pass each
-    half-distance once.  numpy does only exactly rounded IEEE steps (minimum,
-    subtraction, division, products, 1 + 2x); sin and log2 are mapped as
-    ``math.sin`` and ``math.log2`` (libm, over a memoryview): numpy's own may
-    differ from libm in the last bit, by numpy build and CPU, so they only
-    screen cosets in ``_positive_rows``.  The half-distances come from
-    ``numtheory.exact_quotients``, for any size of q.
-    """
-    angle = np.pi * exact_quotients(residues, q)[1]
-    logs = map(math.log2, map(math.sin, memoryview(angle.ravel())))
-    return 1.0 + 2.0 * np.fromiter(logs, float, angle.size).reshape(angle.shape)
-
-
-def _orbit_mean(orbit: np.ndarray, q: int) -> float:
-    """Average of log2(1 - cos(2 pi n/q)) over the residues n of an orbit.
-
-    If -1 is in S_q, orbit[k//2 + i] == q - orbit[i] repeats the terms of the
-    first half, whose mean has the same bits (fsum rounds once; 2x is exact).
-    libm and fsum take the terms ``numtheory._STEP`` residues at a time, through
-    memoryviews, so no list of floats is built, and the bits do not depend on the slicing.
-    """
-    k = len(orbit)
-    if k % 2 == 0 and orbit[k // 2] == q - orbit[0]:
-        orbit = orbit[:k // 2]
-    step = numtheory._STEP
-    slices = (memoryview(_log_terms(orbit[i:i + step], q)) for i in range(0, len(orbit), step))
-    return math.fsum(itertools.chain.from_iterable(slices)) / len(orbit)
-
-
 def _coset_means(cosets: np.ndarray, q: int) -> list[float]:
-    """``_orbit_mean`` of every row of ``cosets``, a (cosets x order) array of orbits mod q.
+    """``orbit_log_mean`` of every row of ``cosets``, a (cosets x order) array of orbits mod q.
 
     u*S_q and -u*S_q share half-distances: one table of terms per q, gathered;
     fsum reads each row as a slice of a memoryview.
@@ -175,7 +141,7 @@ def _coset_means(cosets: np.ndarray, q: int) -> list[float]:
     seen = np.zeros(q // 2 + 1, dtype=bool)
     seen[half] = True
     table = np.zeros(q // 2 + 1)
-    table[seen] = _log_terms(np.flatnonzero(seen), q)
+    table[seen] = riesz.libm_log_factors(np.flatnonzero(seen), q)
     terms, order = memoryview(table[half].ravel()), cosets.shape[1]
     return [math.fsum(terms[i:i + order]) / order for i in range(0, len(terms), order)]
 
@@ -187,7 +153,8 @@ def orbit_log_mean(p: int, q: int) -> float:
     gives the same value, because the orbit of p mod q is gcd(p, q) times
     the orbit of the reduced numerator modulo the reduced denominator.
     """
-    return _orbit_mean(doubling_orbit(p, q), q)
+    orbit = doubling_orbit(p, q)
+    return riesz.orbit_log_sum(orbit, q) / len(orbit)
 
 
 def beta_rational(k: RationalLike) -> ExponentResult:
@@ -205,7 +172,7 @@ def beta_rational(k: RationalLike) -> ExponentResult:
             diagnostics={"q": 1, "dyadic_power": wn.r},
         )
     orbit = doubling_orbit(wn.m % wn.q, wn.q)
-    value = _orbit_mean(orbit, wn.q)
+    value = riesz.orbit_log_sum(orbit, wn.q) / len(orbit)
     representative = int(orbit.min())
     # min(n, q - n) is smallest at the smallest or at the largest residue
     min_half = min(representative, wn.q - int(orbit.max())) / wn.q

@@ -15,11 +15,15 @@ is the exact distance of x_l to the nearest integer (no cancellation near
 x = 1), and a factor is declared zero only when the canonical form of k
 says x_l is exactly 0 — never by floating-point comparison.
 
-The sums run over the array blocks of ``frac_levels``: a trace is a
-running sum (``np.cumsum``, in level order, carried from block to block)
-from which only the recorded levels are copied out, and log2 f_n is the
-trace recorded at level n alone.  A trace is stored as columns: one
-record array with the fields ``level``, ``log2_f`` and ``running_exponent``.
+A rational k is summed from one period: a running sum (``np.cumsum``, in
+level order) over its r pre-periodic levels and one period of its
+doubling cycle, and the period's exact sum (libm and ``fsum``, as the
+exponents take it), so a trace costs O(r + t + recorded levels) whatever
+its last level.  A digit stream is a running sum over the array blocks of
+``frac_levels``, carried from block to block.  Only the recorded levels
+are copied out, and log2 f_n is the trace recorded at level n alone.  A
+trace is stored as columns: one record array with the fields ``level``,
+``log2_f`` and ``running_exponent``.
 """
 
 from __future__ import annotations
@@ -35,12 +39,13 @@ from . import numtheory
 from .numtheory import exact_quotients
 from .serialize import text_rows
 from .streams import DigitStream
-from .wavenumber import WINDOW, LevelBlock, WaveNumberLike, as_wave_number, frac_levels
+from .wavenumber import (WINDOW, LevelBlock, WaveNumberLike, as_rational, as_wave_number,
+                         frac_levels, rational_blocks, rational_period)
 
 LOG2 = math.log(2.0)
 _NEG_INF = float("-inf")
 #: most levels one trace records: 24 bytes of samples each (96 MiB at the cap);
-#: a whole `riesz-trace --k 1/9 --nmax 4194304` process peaks at 224 MB RSS
+#: a whole `riesz-trace --k 1/9 --nmax 4194304` process peaks at 223 MB RSS
 MAX_TRACE_SAMPLES = 2**22
 TRACE_CSV_HEADER = "n,log2_f,running_exponent"
 
@@ -79,6 +84,40 @@ def block_log_factors(block: LevelBlock) -> np.ndarray:
         raise ValueError(f"level {block.start + lost[0]} of k comes within 2**-1022 of an "
                          f"integer without reaching it, below the normal float range")
     return log_factors(block.half_dist)
+
+
+def libm_log_factors(residues, q: int) -> np.ndarray:
+    """log2(2 sin(pi n/q)**2) for every residue n, in the shape of ``residues``, by libm.
+
+    Each term is bit-equal to ``log_factor_from_half_dist(min(n, q - n) / q)``,
+    so callers pass each half-distance once.  numpy does only exactly rounded
+    IEEE steps; sin and log2 are ``math.sin`` and ``math.log2`` (libm) mapped
+    over a memoryview, as numpy's own may differ from libm in the last bit by
+    build and CPU.  The half-distances come from ``exact_quotients``.
+    """
+    angle = np.pi * exact_quotients(residues, q)[1]
+    logs = map(math.log2, map(math.sin, memoryview(angle.ravel())))
+    return 1.0 + 2.0 * np.fromiter(logs, float, angle.size).reshape(angle.shape)
+
+
+def orbit_log_sum(orbit: np.ndarray, q: int) -> float:
+    """Sum of log2(1 - cos(2 pi n/q)) over the residues n of a doubling orbit mod q.
+
+    If -1 is in S_q, orbit[k//2 + i] == q - orbit[i] repeats the terms of the
+    first half, and twice their sum has the same bits (fsum rounds once; 2x
+    is exact).  libm and fsum take the terms ``numtheory._STEP`` residues at a
+    time, through memoryviews, so no list of floats is built, and the bits
+    do not depend on the slicing.
+    """
+    k = len(orbit)
+    mirrored = k % 2 == 0 and orbit[k // 2] == q - orbit[0]
+    if mirrored:
+        orbit = orbit[:k // 2]
+    step = numtheory._STEP
+    slices = (memoryview(libm_log_factors(orbit[i:i + step], q))
+              for i in range(0, len(orbit), step))
+    total = math.fsum(itertools.chain.from_iterable(slices))
+    return 2.0 * total if mirrored else total
 
 
 def partial_product_log(k: WaveNumberLike, n: int) -> float:
@@ -189,27 +228,49 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
 def _running_sums(k: WaveNumberLike, n_max: int, levels: np.ndarray):
     """(log2 f at the sorted ``levels``, extinction level or None, refined-level count).
 
-    One block of running sums at a time, up to the block in which k goes extinct.
+    A rational k sums its r pre-periodic levels and one period of t levels
+    (``rational_period``) in level order, into F, and a level n = r + j t + i
+    (0 <= i < t) past the head is F[r + i] + j S, where S is the period's
+    sum by ``orbit_log_sum``, taken only if a level lies past the first
+    period.  A digit stream is summed one block at a time, in level order.
     """
-    log2_f = np.full(len(levels), _NEG_INF)
-    extinct_at = None
-    total = 0.0
-    refined = 0
-    for block in frac_levels(k, n_max).blocks():
-        if block.is_zero.any():   # k is dyadic: this block is the last one walked
-            extinct_at = block.start + int(np.argmax(block.is_zero))
-        refined += int(np.count_nonzero(block.refined))
-        # running sums in level order; a zero factor turns them into -inf for good
-        steps = block_log_factors(block)
-        steps[0] += total
-        running = np.cumsum(steps)
-        total = float(running[-1])
-        first = block.start + 1
-        lo, hi = np.searchsorted(levels, [first, first + len(running)])
-        log2_f[lo:hi] = running[levels[lo:hi] - first]
-        if extinct_at is not None:
-            break
-    return log2_f, extinct_at, refined
+    wn = as_rational(k)
+    if wn is None:
+        log2_f = np.full(len(levels), _NEG_INF)
+        total = 0.0
+        refined = 0
+        for block in frac_levels(k, n_max).blocks():
+            refined += int(np.count_nonzero(block.refined))
+            steps = block_log_factors(block)
+            steps[0] += total
+            running = np.cumsum(steps)
+            total = float(running[-1])
+            first = block.start + 1
+            lo, hi = np.searchsorted(levels, [first, first + len(running)])
+            log2_f[lo:hi] = running[levels[lo:hi] - first]
+        return log2_f, None, refined
+    numerators, cycle = rational_period(wn, n_max)
+    r = len(numerators)
+    stop = min(r + len(cycle), n_max)
+    # sums[n] = log2 f_n up to level stop, the head and one period at most, in level order
+    sums = np.zeros(stop + 1)
+    for block in rational_blocks(wn, numerators, cycle, stop):
+        sums[block.start + 1:block.start + 1 + len(block.value)] = block_log_factors(block)
+    np.cumsum(sums, out=sums)
+    # a cycle still open at level n_max completes no period
+    t = len(cycle) + (2 * int(cycle[-1]) % wn.q != int(cycle[0]))
+    if wn.is_dyadic or levels[-1] < r + t:
+        # a dyadic k's level r is 0, so its sums are -inf from level r + 1 = stop on
+        return sums[np.minimum(levels, stop)], r if wn.is_dyadic and r < n_max else None, 0
+    # j in place: each new array of a long trace costs its page faults, and numpy
+    # divides by a scalar with SIMD but takes divmod and % slowly
+    j = levels - r
+    np.maximum(j, 0, out=j)
+    j //= t
+    log2_f = j * orbit_log_sum(cycle, wn.q)
+    j *= t
+    log2_f += sums[levels - j]
+    return log2_f, None, 0
 
 
 def _grid_density(n: int, x: np.ndarray) -> np.ndarray:

@@ -79,8 +79,9 @@ def _chunk_text(columns, template: str, digits: int, keys: int, sep: str) -> str
     if fallback.all():
         return sep.join(map(template.__mod__, zip(*(
             c.tolist() if isinstance(c, np.ndarray) else c for c in columns))))
-    comma = np.full((1, len(fallback)), ord(","), np.uint8)
-    slots = np.concatenate([row for block in blocks for row in (block, comma)])
+    comma = np.full(len(fallback), ord(","), np.uint8)
+    # an int block is one array of slot rows, a float block a list of rows and arrays of them
+    slots = np.vstack([rows for block in blocks for rows in (*block, comma)])
     slots[-1] = ord(sep)
     slots[:-1, fallback] = 0    # a 1 alone in the row, then replaced by the template's text
     slots[0, fallback] = 1
@@ -103,11 +104,13 @@ def _int_cells(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _float_cells(x: np.ndarray, digits: int, fallback: np.ndarray) -> np.ndarray | None:
+def _float_cells(x: np.ndarray, digits: int, fallback: np.ndarray) -> list[np.ndarray] | None:
     """The ``%.{digits}g`` slots of ``x``; sets ``fallback`` where the template must render.
 
     The slots: the sign, '0.000' (for exponents -1 to -4), the digits with a
-    slot for the point after each but the last, then 'e+dd' (scientific form).
+    slot for the point after each but the last, then 'e+dd' (scientific
+    form).  The sign, '0.000' and 'e+dd' slots are left out when no value
+    uses them.
     """
     ax = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):    # log10 of 0 and of nan
@@ -117,7 +120,9 @@ def _float_cells(x: np.ndarray, digits: int, fallback: np.ndarray) -> np.ndarray
         return None
     k = np.where(fallback, 0, k).astype(np.int8)
     ax[fallback] = 1.0
-    y = np.where(k < 0, ax / _POW10.take(-k, mode="clip"), ax * _POW10.take(k, mode="clip"))
+    scale, divided = _POW10.take(np.abs(k)), k < 0
+    y = np.multiply(ax, scale, out=ax, where=~divided)
+    np.divide(ax, scale, out=y, where=divided)
     mantissa = np.rint(y)
     lo, hi = _POW10[digits - 1], _POW10[digits]
     # a y outside [lo, hi) is an exponent that log10 missed, next to a power of 10
@@ -127,16 +132,20 @@ def _float_cells(x: np.ndarray, digits: int, fallback: np.ndarray) -> np.ndarray
     exponent = (digits - 1) - k + carry.view(np.int8)
     scientific = (exponent < -4) | (exponent >= digits)
     small = ((exponent < 0) & ~scientific).view(np.uint8)
-    out = np.empty((2 * digits + 9, len(x)), np.uint8)
-    out[0] = np.signbit(x).view(np.uint8) * ord("-")
-    out[1:6] = [small * ord("0"), small * ord("."),
-                *((exponent < -j).view(np.uint8) * small * ord("0") for j in (1, 2, 3))]
+    sign = np.signbit(x)
+    cells = [sign.view(np.uint8) * ord("-")] if sign.any() else []
+    if small.any():
+        cells += [small * ord("0"), small * ord("."),
+                  *((exponent < -j).view(np.uint8) * small * ord("0") for j in (1, 2, 3))]
+    out = np.empty((2 * digits - 1, len(x)), np.uint8)
     # digits before the point: all of the integer part, or one in scientific form
-    _digits(out[6:-4], mantissa, np.where(scientific, 1, np.maximum(exponent + 1, 0)), True)
-    size, shown = np.abs(exponent).view(np.uint8), scientific.view(np.uint8)
-    out[-4:] = [shown * ord("e"), shown * (ord("+") + 2 * (exponent < 0).view(np.uint8)),
-                shown * (size // 10 + ord("0")), shown * (size % 10 + ord("0"))]
-    return out
+    _digits(out, mantissa, np.where(scientific, 1, np.maximum(exponent + 1, 0)), True)
+    cells.append(out)
+    if scientific.any():
+        size, shown = np.abs(exponent).view(np.uint8), scientific.view(np.uint8)
+        cells += [shown * ord("e"), shown * (ord("+") + 2 * (exponent < 0).view(np.uint8)),
+                  shown * (size // 10 + ord("0")), shown * (size % 10 + ord("0"))]
+    return cells
 
 
 def _digits(out: np.ndarray, value: np.ndarray, lead, points: bool = False) -> None:
@@ -157,7 +166,7 @@ def _digits(out: np.ndarray, value: np.ndarray, lead, points: bool = False) -> N
     cells += ord("0")
     cells *= place <= kept
     if points:
-        out[1::2] = ((place[:-1] == lead) & (place[:-1] < kept)) * ord(".")
+        out[1::2] = ((place[:-1] == lead) & (place[:-1] < kept)).view(np.uint8) * ord(".")
 
 
 def json_rows(header: str, rows, digits: int = 6, keys: int = 1) -> list[dict]:

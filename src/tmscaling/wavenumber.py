@@ -18,7 +18,8 @@ gives the same levels one ``FracLevel`` at a time.  Rational inputs
 pre-periodic numerators, then the doubling cycle of m mod q from
 ``numtheory``'s one kernel, read no further than the levels asked for
 (at most MAX_ORBIT_LENGTH residues) and tiled, each numerator divided
-once by ``numtheory.exact_quotients``.  Digit streams read a
+once by ``numtheory.exact_quotients``; ``riesz`` sums the head and one
+period (``rational_period``).  Digit streams read a
 64-digit window per level, all windows of a block at once as ``uint64``
 integers, refined to 128 digits and flagged when the value sits within
 2**-20 of an integer.
@@ -188,24 +189,30 @@ def frac_levels(k: WaveNumberLike, count: int, window: int = WINDOW) -> FracLeve
     """The levels l = 0, 1, ..., count - 1 of k.
 
     Rational inputs, and digit streams of kind ``rational-periodic`` (whose
-    ``num``/``den`` make them rationals), take the exact path: the
-    pre-periodic levels in integers, then the doubling cycle of the odd
-    part, tiled.  Other streams read ``window``-digit windows (32 to 64
-    digits), built as ``uint64`` integers, for at most MAX_STREAM_LEVELS
-    levels, checked before any digit is drawn.
+    ``num``/``den`` make them rationals), take the exact path: the head and
+    cycle of ``rational_period``, tiled.  Other streams read ``window``-digit
+    windows (32 to 64 digits), built as ``uint64`` integers, for at most
+    MAX_STREAM_LEVELS levels, checked before any digit is drawn.
     """
+    if isinstance(k, DigitStream) and not 32 <= window <= 64:
+        raise ValueError(f"window must be 32 to 64 digits, got {window}")
+    wn = as_rational(k)
+    if wn is None:
+        if count > MAX_STREAM_LEVELS:
+            raise ValueError(f"{count} levels of a digit stream exceed "
+                             f"MAX_STREAM_LEVELS = {MAX_STREAM_LEVELS}")
+        return FracLevels(lambda: (_stream_block(k, start, stop, window)
+                                   for start, stop in _spans(count)))
+    return FracLevels(lambda: rational_blocks(wn, *rational_period(wn, count), count))
+
+
+def as_rational(k: WaveNumberLike) -> WaveNumber | None:
+    """The canonical form of a rational or ``rational-periodic`` k; None for other digit streams."""
     if isinstance(k, DigitStream):
-        if not 32 <= window <= 64:
-            raise ValueError(f"window must be 32 to 64 digits, got {window}")
         if k.kind != "rational-periodic":
-            if count > MAX_STREAM_LEVELS:
-                raise ValueError(f"{count} levels of a digit stream exceed "
-                                 f"MAX_STREAM_LEVELS = {MAX_STREAM_LEVELS}")
-            return FracLevels(lambda: (_stream_block(k, start, stop, window)
-                                       for start, stop in _spans(count)))
+            return None
         k = Fraction(k.params["num"], k.params["den"])
-    wn = as_wave_number(k)
-    return FracLevels(lambda: _rational_blocks(wn, count))
+    return as_wave_number(k)
 
 
 def _spans(count: int) -> Iterator[tuple[int, int]]:
@@ -213,20 +220,29 @@ def _spans(count: int) -> Iterator[tuple[int, int]]:
     return ((start, min(start + BLOCK, count)) for start in range(0, count, BLOCK))
 
 
-def _rational_blocks(wn: WaveNumber, count: int) -> Iterator[LevelBlock]:
-    """Levels of m / (2**r q): r pre-periodic levels, then the doubling cycle of m mod q.
+def rational_period(wn: WaveNumber, count: int) -> tuple[list[int], np.ndarray]:
+    """The numerators over 2**r q of levels 0 .. r - 1 of m / (2**r q), and the cycle of m mod q.
 
     From level r on the numerator over 2**r q is 2**r times a residue of
-    the cycle of m mod q, so level r + j is that cycle's residue j mod its
-    length over q.  The cycle is read no further than the levels need; more
-    than ``numtheory.MAX_ORBIT_LENGTH`` levels of a cycle that has not
-    closed by then raise ValueError.  A level is exactly 0 iff q = 1 and l >= r:
-    for l < r, 2**r q never divides m 2**l, as m is odd and coprime to q.
+    the cycle, so level r + j is that cycle's residue j mod its length over
+    q.  The cycle is read no further than the levels below ``count`` need,
+    at least one residue; more than ``numtheory.MAX_ORBIT_LENGTH`` residues
+    of a cycle that has not closed by then raise ValueError.  r is capped
+    at ``count``.
     """
     den, r = wn.denominator, min(wn.r, count)
     head = [(wn.m << level) % den for level in range(r)]
-    # at least one residue, so that the modulus below is never 0
-    cycle = _doubling_cycle(wn.m, wn.q, max(count - r, 1))
+    return head, _doubling_cycle(wn.m, wn.q, max(count - r, 1))
+
+
+def rational_blocks(wn: WaveNumber, head: list[int], cycle: np.ndarray,
+                    count: int) -> Iterator[LevelBlock]:
+    """Levels 0 .. count - 1 of m / (2**r q) from ``rational_period``: head, then cycle tiled.
+
+    A level is exactly 0 iff q = 1 and l >= r: for l < r, 2**r q never
+    divides m 2**l, as m is odd and coprime to q.
+    """
+    den, r = wn.denominator, len(head)
     for start, stop in _spans(count):
         levels = np.arange(start, stop)
         periodic = levels >= r

@@ -25,7 +25,7 @@ from tmscaling.exponents import (
     orbit_log_mean,
     table_csv_lines,
 )
-from tmscaling import cli, exponents, numtheory
+from tmscaling import cli, exponents, numtheory, riesz
 from tmscaling.numtheory import coset_decomposition, doubling_orbit, mult_order_of_two
 from tmscaling.riesz import log_factor_from_half_dist, running_exponent
 from tmscaling.wavenumber import WaveNumber, as_wave_number
@@ -376,22 +376,22 @@ def scalar_orbit_mean(p: int, q: int) -> float:
 
 @contextlib.contextmanager
 def sliced(step):
-    """``numtheory._STEP`` patched to ``step``; yields the residues passed to libm, per ``_log_terms`` call."""
+    """``numtheory._STEP`` patched to ``step``; yields the residues sent to libm, per call."""
     sizes = []
-    log_terms = exponents._log_terms
+    log_terms = riesz.libm_log_factors
 
     def counted(residues, q):
         sizes.append(len(residues))
         return log_terms(residues, q)
 
     with mock.patch.object(numtheory, "_STEP", step), \
-            mock.patch.object(exponents, "_log_terms", counted):
+            mock.patch.object(riesz, "libm_log_factors", counted):
         yield sizes
 
 
 @pytest.fixture
 def terms():
-    """Number of residues passed to libm, per ``_log_terms`` call."""
+    """Number of residues passed to libm, per ``libm_log_factors`` call."""
     with sliced(numtheory._STEP) as sizes:
         yield sizes
 

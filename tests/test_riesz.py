@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -10,9 +11,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tmscaling import cli, riesz, wavenumber
+from tmscaling.exponents import beta_rational
 from tmscaling.expansions import weyl_diagnostics
 from tmscaling.riesz import (
     RieszTrace,
@@ -27,7 +29,7 @@ from tmscaling.riesz import (
 from tmscaling.serialize import csv_lines, format_float, json_number, json_rows
 from tmscaling.streams import rational_periodic
 from tmscaling.tmcore import exp_sum_recursive
-from tmscaling.wavenumber import FracLevels, frac_levels
+from tmscaling.wavenumber import as_wave_number, frac_levels
 
 from conftest import log2_factor_oracle
 
@@ -148,6 +150,17 @@ class TestRunningExponent:
         k = Fraction(num, den << r)
         assert running_exponent(k, n).hex() == trace(k, n).final_running_exponent.hex()
 
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(1, 99).map(lambda i: 2 * i + 1), p=st.integers(1, 10 ** 6),
+           r=st.integers(0, 8), periods=st.integers(1, 40), extra=st.integers(0, 10 ** 6))
+    def test_is_the_trace_value_bit_for_bit_past_the_first_period(self, q, p, r, periods, extra):
+        assume(p % q)
+        k = Fraction(p, q << r)
+        wn = as_wave_number(k)
+        t = beta_rational(k).diagnostics["orbit_size"]
+        n = wn.r + periods * t + extra % t
+        assert running_exponent(k, n).hex() == trace(k, n).final_running_exponent.hex()
+
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 16384, 16385, 40000])
     def test_is_the_trace_value_bit_for_bit_on_a_random_stream(self, n):
         stream = cli.parse_stream_spec("random:5")
@@ -163,24 +176,23 @@ class TestTrace:
         assert all(s.log2_f == NEG_INF for s in tr.samples if s.level > 2)
 
     def test_dyadic_traces_stop_after_the_extinct_block(self, monkeypatch):
-        walked = []
+        read = []
 
-        def recording(k, count):
-            # five blocks at most, so that a trace which walked on cannot hang here
-            blocks = itertools.islice(frac_levels(k, count).blocks(), 5)
-            return FracLevels(lambda: (walked.append(b.start) or b for b in blocks))
+        def recording(wn, count):
+            head, cycle = wavenumber.rational_period(wn, count)
+            read.append(len(head) + len(cycle))
+            return head, cycle
 
-        monkeypatch.setattr(wavenumber, "BLOCK", 4)
-        monkeypatch.setattr(riesz, "frac_levels", recording)
+        monkeypatch.setattr(riesz, "rational_period", recording)
         tr = trace(Fraction(3, 2 ** 9), 10 ** 14, sample_levels=[5, 9, 10, 10 ** 14])
-        assert walked == [0, 4, 8]
+        assert read == [10]     # the 9 head levels, then level 9, which is 0
         assert tr.extinct_at == 9
         assert math.isfinite(tr.samples.log2_f[1])
         assert tr.samples.log2_f.tolist()[2:] == [NEG_INF, NEG_INF]
         assert tr.samples.running_exponent.tolist()[2:] == [NEG_INF, NEG_INF]
-        walked.clear()
+        read.clear()
         assert partial_product_log(Fraction(3, 2 ** 9), 10 ** 14) == NEG_INF
-        assert walked == [0, 4, 8]
+        assert read == [10]
 
     def test_k_too_long_to_print_raises_without_the_raw_limit_text(self, int_str_limit):
         # 3 << 20000 has 6022 digits; the levels of k themselves are all computable
@@ -267,6 +279,7 @@ class TestTrace:
         monkeypatch.setattr(riesz, "MAX_TRACE_SAMPLES", 100)
         assert len(trace(Fraction(1, 3), 100).samples) == 100
         monkeypatch.setattr(riesz, "frac_levels", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(riesz, "rational_period", mock.Mock(side_effect=AssertionError))
         for levels in (None, range(1, 10**14), itertools.count(1)):
             with pytest.raises(ValueError, match="MAX_TRACE_SAMPLES = 100"):
                 trace(Fraction(1, 3), 10**14, sample_levels=levels)
@@ -304,6 +317,91 @@ class TestTrace:
         assert tr.samples.running_exponent.tolist() == [
             v / n for n, v in zip((3, 6, 12), tr.samples.log2_f.tolist())]
         assert tr.final_running_exponent == tr.samples[-1].running_exponent
+
+
+class TestOnePeriod:
+    """A rational trace is summed from its head and one period of its doubling cycle."""
+
+    # 2**r q with r <= 8 and odd q < 10**4; j whole periods, up to 5 * 10**9 levels
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.integers(1, 4999).map(lambda i: 2 * i + 1), p=st.integers(1, 10 ** 6),
+           r=st.integers(0, 8), j=st.integers(1, 10 ** 6))
+    def test_whole_periods_give_beta_to_a_few_ulp(self, q, p, r, j):
+        assume(p % q)
+        k = Fraction(p, q << r)
+        wn = as_wave_number(k)
+        result = beta_rational(k)
+        beta, t = result.value, result.diagnostics["orbit_size"]
+        periodic = Fraction(wn.m % wn.q, wn.q)      # frac(2**r k): level r of k on
+        assert abs(running_exponent(periodic, j * t) - beta) <= 4 * math.ulp(beta)
+        # the head adds its r levels and nothing else
+        assert partial_product_log(k, wn.r + j * t) == (
+            partial_product_log(k, wn.r) + partial_product_log(periodic, j * t))
+
+    # the rows of `riesz-trace --k 1/9 --nmax 4194304` that a level-by-level
+    # running sum printed one unit off in the last digit
+    MOVED_LEVELS = [611726, 695935, 863962, 1070438, 2858055]
+
+    def test_cells_are_the_correctly_rounded_exact_values(self):
+        mpmath = pytest.importorskip("mpmath")
+        levels = self.MOVED_LEVELS
+        rows = trace(Fraction(1, 9), max(levels), sample_levels=levels).to_csv_lines()[1:]
+        with mpmath.workdps(50):
+            # level l of 1/9 is the residue 2**l mod 9 over 9, with period 6
+            terms = [2 * mpmath.log(mpmath.sin(mpmath.pi * n / 9), 2) + 1
+                     for n in (1, 2, 4, 8, 7, 5)]
+            for level, row in zip(levels, rows):
+                j, i = divmod(level, 6)
+                exact = j * mpmath.fsum(terms) + mpmath.fsum(terms[:i])
+                # no exact cell lies within 1e-11 of a rounding tie, far above a double's error
+                assert row == "%d,%.6g,%.6g" % (level, exact, exact / level)
+            exact = 10 ** 7 * mpmath.log(mpmath.mpf(3) / 2, 2)
+            log2_f = partial_product_log(Fraction(1, 3), 10 ** 7)
+            # a level-by-level running sum was 1.3e-3 off here
+            assert abs(log2_f - exact) <= 4 * math.ulp(float(exact))
+
+    def test_trace_and_exponent_print_the_same_12_digits(self, capsys):
+        assert cli.main(["riesz-trace", "--k", "1/3", "--nmax", "10000000",
+                         "--every", "10000000", "--digits", "12"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert cli.main(["exponent", "--k", "1/3", "--digits", "12"]) == 0
+        (beta,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("beta = ")]
+        assert row == "10000000,5849625.00721,0.584962500721"
+        assert beta == "beta = 0.584962500721"
+
+    def test_levels_far_past_the_period_cost_one_period(self):
+        # in children, so that a walk of every level ends at the timeout
+        argv = [sys.executable, "-m", "tmscaling", "riesz-trace", "--k", "1/3",
+                "--nmax", str(10 ** 14), "--every", str(10 ** 11)]
+        out = subprocess.run(argv, capture_output=True, text=True, timeout=5, check=True).stdout
+        rows = [line for line in out.splitlines() if line[:1].isdigit()]
+        assert len(rows) == 1000
+        assert rows[-1] == "100000000000000,5.84963e+13,0.584963"
+        code = ("from tmscaling.riesz import partial_product_log; "
+                "print(partial_product_log('1/3', 10**15))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=5, check=True).stdout
+        assert float(out) == pytest.approx(10 ** 15 * LOG2_3_HALVES, rel=1e-14)
+
+    def test_no_level_at_or_past_nmax_is_read(self):
+        # 1030 head levels; level 2 lies within 2**-1022 of an integer, as would a
+        # cycle residue over q = 2**1023 + 1 read at level 2 in its place
+        k = Fraction(1, 4) + Fraction(1, ((1 << 1023) + 1) << 1030)
+        assert trace(k, 2).samples.level.tolist() == [1, 2]
+        with pytest.raises(ValueError, match="level 2 of k comes within 2"):
+            trace(k, 3)
+
+    def test_libm_runs_only_for_a_level_past_the_first_period(self, monkeypatch):
+        libm = mock.Mock(side_effect=riesz.libm_log_factors)
+        monkeypatch.setattr(riesz, "libm_log_factors", libm)
+        trace(Fraction(1, 9), 6, sample_levels=[5])
+        trace(Fraction(1, 1000003), 5000)       # the cycle has not closed by level 5000
+        trace(Fraction(5, 9 << 3), 8)           # 3 head levels, then the period of 6
+        assert not libm.called
+        trace(Fraction(1, 9), 6, sample_levels=[6])
+        trace(Fraction(5, 9 << 3), 9)
+        assert libm.call_count == 2
 
 
 def per_value_format(x: float, digits: int) -> str:
