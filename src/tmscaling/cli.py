@@ -17,7 +17,9 @@ usage/validation error, 3 numeric identity check outside tolerance.  A
 value argparse accepts but a verb refuses prints "tmscaling: error: <the
 verb's options>: <reason>"; ``main`` is the only place that writes it.
 Table and figure output is deterministic: the same arguments always
-print the same bytes.
+print the same bytes.  The parser is built once per process, on the
+first ``main`` call, and reused: its argument types read only bounds
+fixed at import, so a later call parses as a fresh one would.
 """
 
 from __future__ import annotations
@@ -177,8 +179,9 @@ def _trace_output(fmt: str, digits: int, tr: riesz.RieszTrace, text: list[str], 
     json puts the numbers (through ``json_number``) ahead of the trace's
     fields; plain is the ``text`` lines, then 'name = value' per number;
     csv is those lines as '# ' comments, then the trace rows as one text in
-    pieces: the rows of one ``_ORBIT_SLICE`` of samples each, led by a
-    newline ("" joined in front) after the first.
+    pieces: the rows of one ``_ORBIT_SLICE`` of levels each, taken from
+    ``tr.columns`` when the piece is written and led by a newline ("" joined
+    in front) after the first.
     """
     if fmt == "json":
         return {**{name: json_number(x, digits) for name, x in numbers.items()},
@@ -188,9 +191,8 @@ def _trace_output(fmt: str, digits: int, tr: riesz.RieszTrace, text: list[str], 
     lines = [*text, *(f"{name} = {format_float(x, digits)}" for name, x in numbers.items())]
     if fmt == "plain":
         return lines
-    columns = [tr.samples[name] for name in tr.samples.dtype.names]
-    rows = ("\n" * bool(i) + text_rows([c[i:i + _ORBIT_SLICE] for c in columns], digits)
-            for i in range(0, len(tr.samples), _ORBIT_SLICE))
+    rows = ("\n" * bool(i) + text_rows(tr.columns(i, i + _ORBIT_SLICE), digits)
+            for i in range(0, len(tr.levels), _ORBIT_SLICE))
     return [*(f"# {line}" for line in lines), riesz.TRACE_CSV_HEADER, rows]
 
 
@@ -236,7 +238,7 @@ def _mix(args):
     tr, lo, hi = expansions.mixed_exponent_trace(parse_stream_spec(args.a),
                                                  parse_stream_spec(args.b), args.nmax,
                                                  growth=args.growth)
-    text = [f"checkpoints = {len(tr.samples)}"] if args.format == "plain" else []
+    text = [f"checkpoints = {len(tr.levels)}"] if args.format == "plain" else []
     return _trace_output(args.format, args.digits, tr, text, liminf=lo, limsup=hi)
 
 
@@ -397,8 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser ``main`` builds on its first call and every later call reuses
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     # before Python 3.12, argparse parses "--flag=--" to [] without calling its type
     empty = next((dest for dest, value in vars(args).items() if value == []), None)

@@ -30,7 +30,7 @@ from .numtheory import (
     coset_decomposition,
     divisors,
     doubling_orbit,
-    exact_quotients,
+    half_distances,
     moebius,
 )
 from .serialize import csv_lines
@@ -252,7 +252,7 @@ def coset_identities(q_max: int) -> Iterator[tuple[int, tuple[float, float], tup
 
 def _screen_means(cosets: np.ndarray, q: int) -> np.ndarray:
     """``_coset_means`` estimated with numpy's sin and log2: it screens, it is never printed."""
-    return riesz.log_factors(exact_quotients(cosets, q)[1]).mean(axis=1)
+    return riesz.log_factors(half_distances(cosets, q)).mean(axis=1)
 
 
 def _positive_rows(q: int) -> list[tuple[int, int, float]]:

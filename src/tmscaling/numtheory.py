@@ -10,7 +10,8 @@ may have up to MAX_ORBIT_LENGTH residues (the modulus itself may be any
 size, except for ``coset_decomposition``, which covers all of U_q); a
 longer one raises ValueError rather than growing without limit.
 Enumerations walk every q up to 10**4, where trial division is plenty.
-``exact_quotients`` turns residues n into n/q and min(n, q - n)/q for the whole package.
+``exact_quotients`` turns residues n into n/q and min(n, q - n)/q for the whole package,
+and ``half_distances`` into min(n, q - n)/q alone, rounded the same way.
 """
 
 from __future__ import annotations
@@ -73,15 +74,25 @@ def moebius(n: int) -> int:
     return sign
 
 
-def exact_quotients(nums, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n / q, min(n, q - n) / q) as float64 arrays for 0 <= n <= q, each rounded once.
+def _exact(nums, q: int) -> np.ndarray:
+    """n as int64 below q = 2**53 and as Python ints (an object array) above.
 
-    n is int64 below q = 2**53, where float64 holds it exactly and numpy's
-    division rounds like Python's int / int, and a Python int (object array) above.
+    Below 2**53 float64 holds n exactly, so numpy's division rounds like
+    Python's int / int.
     """
-    n = np.asarray(nums, dtype=np.int64 if q < 2**53 else object)
-    return ((n / q).astype(float, copy=False),
-            (np.minimum(n, q - n) / q).astype(float, copy=False))
+    return np.asarray(nums, dtype=np.int64 if q < 2**53 else object)
+
+
+def half_distances(nums, q: int) -> np.ndarray:
+    """min(n, q - n) / q as a float64 array for 0 <= n <= q, each rounded once."""
+    n = _exact(nums, q)
+    return (np.minimum(n, q - n) / q).astype(float, copy=False)
+
+
+def exact_quotients(nums, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n / q, min(n, q - n) / q) as float64 arrays for 0 <= n <= q, each rounded once."""
+    n = _exact(nums, q)
+    return (n / q).astype(float, copy=False), half_distances(n, q)
 
 
 def _doubling_cycle(p: int, q: int, limit: int) -> np.ndarray:
@@ -89,9 +100,9 @@ def _doubling_cycle(p: int, q: int, limit: int) -> np.ndarray:
 
     The first _HEAD residues, one doubling at a time; then block doubling:
     the one array grows in place to twice its length (at most ``limit``) and
-    its new tail is the cycle so far times 2**len (mod q), in slices of at
-    most _STEP residues.  Residues are int64 below 2**31, where products stay
-    below 2**62, and Python ints in an object array above.  Rather than hold
+    its new tail is the cycle so far times 2**len (mod q), written in place,
+    in slices of at most _STEP residues.  Residues are int64 below 2**31,
+    where products stay below 2**62, and Python ints in an object array above.  Rather than hold
     more than MAX_ORBIT_LENGTH residues of an open cycle, raises ValueError.
     """
     start = int(p % q)
@@ -107,11 +118,14 @@ def _doubling_cycle(p: int, q: int, limit: int) -> np.ndarray:
         factor = pow(2, n, q)
         cycle.resize(min(2 * n, limit), refcheck=False)   # in place: no view of it exists
         for i in range(n, len(cycle), _STEP):
-            block = cycle[i - n:min(i + _STEP, len(cycle)) - n] * factor % q
-            cycle[i:i + len(block)] = block
-            closed = np.flatnonzero(block == start)
-            if closed.size:
-                cycle.resize(i + closed[0], refcheck=False)
+            block = cycle[i:min(i + _STEP, len(cycle))]
+            np.multiply(cycle[i - n:i - n + len(block)], factor, out=block)
+            np.remainder(block, q, out=block)
+            closed = block == start
+            del block
+            at = int(closed.argmax())
+            if closed[at]:
+                cycle.resize(i + at, refcheck=False)
                 return cycle
     if len(cycle) > MAX_ORBIT_LENGTH:
         raise ValueError(f"the doubling orbit of {start} mod {q} is longer than "
@@ -160,13 +174,17 @@ def coset_decomposition(q: int) -> np.ndarray:
         raise ValueError(f"the cosets of {q} cover more than the budget of "
                          f"MAX_ORBIT_LENGTH = {MAX_ORBIT_LENGTH} residues")
     subgroup = _doubling_cycle(1, q, q)
-    free = np.ones(q, dtype=bool)   # the units: no divisor d > 1 of q divides them
+    # the units, no divisor d > 1 of q dividing them, as bytes that numpy marks
+    # off and ``bytearray.find`` scans for the next representative
+    free = bytearray(b"\1") * q
+    mask = np.frombuffer(free, dtype=bool)
     for d in divisors(q)[1:]:
-        free[::d] = False
-    rows = np.empty((np.count_nonzero(free) // len(subgroup), len(subgroup)), subgroup.dtype)
+        mask[::d] = False
+    rows = np.empty((np.count_nonzero(mask) // len(subgroup), len(subgroup)), subgroup.dtype)
     rep = 1
     for row in rows:
-        row[:] = rep * subgroup % q
-        free[row] = False
-        rep += int(np.argmax(free[rep:]))
+        np.multiply(subgroup, rep, out=row)
+        np.remainder(row, q, out=row)
+        mask[row] = False
+        rep = free.find(1, rep)
     return rows

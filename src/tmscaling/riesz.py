@@ -18,12 +18,14 @@ says x_l is exactly 0 — never by floating-point comparison.
 A rational k is summed from one period: a running sum (``np.cumsum``, in
 level order) over its r pre-periodic levels and one period of its
 doubling cycle, and the period's exact sum (libm and ``fsum``, as the
-exponents take it), so a trace costs O(r + t + recorded levels) whatever
-its last level.  A digit stream is a running sum over the array blocks of
-``frac_levels``, carried from block to block.  Only the recorded levels
-are copied out, and log2 f_n is the trace recorded at level n alone.  A
-trace is stored as columns: one record array with the fields ``level``,
-``log2_f`` and ``running_exponent``.
+exponents take it).  The trace keeps that period and evaluates any slice
+of its recorded levels from it, so building it costs O(r + t) whatever its
+last level, and a reader that takes the rows a slice at a time never holds
+more than one slice of them.  A digit stream is a running sum over the
+array blocks of ``frac_levels``, carried from block to block, and only the
+recorded levels are copied out, into one record array with the fields
+``level``, ``log2_f`` and ``running_exponent``.  log2 f_n is the trace
+recorded at level n alone.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numtheory
-from .numtheory import exact_quotients
+from .numtheory import half_distances
 from .serialize import text_rows
 from .streams import DigitStream
 from .wavenumber import (WINDOW, LevelBlock, WaveNumberLike, as_rational, as_wave_number,
@@ -44,10 +45,11 @@ from .wavenumber import (WINDOW, LevelBlock, WaveNumberLike, as_rational, as_wav
 
 LOG2 = math.log(2.0)
 _NEG_INF = float("-inf")
-#: most levels one trace records: 24 bytes of samples each (96 MiB at the cap);
-#: a whole `riesz-trace --k 1/9 --nmax 4194304` process peaks at 223 MB RSS
+#: most levels one trace records: 24 bytes each once its samples are assembled
+#: (96 MiB at the cap); a rational trace printed as csv holds one slice of them
 MAX_TRACE_SAMPLES = 2**22
 TRACE_CSV_HEADER = "n,log2_f,running_exponent"
+_SAMPLE_DTYPE = [("level", np.int64), ("log2_f", float), ("running_exponent", float)]
 
 
 def log_factor_from_half_dist(half_dist: float) -> float:
@@ -93,9 +95,9 @@ def libm_log_factors(residues, q: int) -> np.ndarray:
     so callers pass each half-distance once.  numpy does only exactly rounded
     IEEE steps; sin and log2 are ``math.sin`` and ``math.log2`` (libm) mapped
     over a memoryview, as numpy's own may differ from libm in the last bit by
-    build and CPU.  The half-distances come from ``exact_quotients``.
+    build and CPU.  The half-distances come from ``half_distances``.
     """
-    angle = np.pi * exact_quotients(residues, q)[1]
+    angle = np.pi * half_distances(residues, q)
     logs = map(math.log2, map(math.sin, memoryview(angle.ravel())))
     return 1.0 + 2.0 * np.fromiter(logs, float, angle.size).reshape(angle.shape)
 
@@ -124,7 +126,10 @@ def partial_product_log(k: WaveNumberLike, n: int) -> float:
     """log2 f_n(k), summed as ``trace`` sums it (0.0 at n = 0); -inf once extinct."""
     if n < 0:
         raise ValueError(f"level must be non-negative, got {n}")
-    return float(_running_sums(k, n, np.array([n]))[0][0]) if n else 0.0
+    if not n:
+        return 0.0
+    wn, levels = as_rational(k), np.array([n])
+    return float((_stream_sums(k, n, levels)[0] if wn is None else _Period(wn, n, n)(levels))[0])
 
 
 def running_exponent(k: WaveNumberLike, n: int) -> float:
@@ -134,29 +139,50 @@ def running_exponent(k: WaveNumberLike, n: int) -> float:
     return partial_product_log(k, n) / n
 
 
-@dataclass
 class RieszTrace:
     """Sampled history of (n, log2 f_n, log2 f_n / n) for one wave number.
 
-    ``samples`` is a numpy record array with one record per recorded level,
-    in increasing level order, and the columns ``level`` (int64),
-    ``log2_f`` and ``running_exponent`` (float64; the latter is
-    ``log2_f / level``).  ``extinct_at`` is the first level whose factor
-    vanishes (dyadic k only); beyond it both float columns are -inf.  For
-    a digit stream ``quality`` records the window width
+    ``levels`` are the recorded levels in increasing order: a ``range``
+    with a positive step, kept as a range, or an int64 array.
+    ``columns(start, stop)`` gives the ``level`` (int64), ``log2_f`` and
+    ``running_exponent`` (float64; ``log2_f / level``) of records start ..
+    stop - 1; a rational trace evaluates them from its period, so the rows
+    can be read a slice at a time.  ``samples`` is all of them as one numpy
+    record array with those fields, assembled on first access; a trace may
+    also be built from such an array.  ``extinct_at`` is the first level
+    whose factor vanishes (dyadic k only); beyond it both float columns are
+    -inf.  For a digit stream ``quality`` records the window width
     (``wavenumber.WINDOW`` digits) and how many levels needed the
     near-singular refinement (none for rational-periodic streams, which
     take the exact path); it is empty for rational wave numbers.
     """
 
-    wave_number: str
-    samples: np.recarray
-    extinct_at: int | None = None
-    quality: dict = field(default_factory=dict)
+    def __init__(self, wave_number: str, samples: np.recarray | None = None,
+                 extinct_at: int | None = None, quality: dict | None = None, *,
+                 levels: range | np.ndarray | None = None, period: _Period | None = None):
+        self.wave_number = wave_number
+        self.extinct_at = extinct_at
+        self.quality = {} if quality is None else quality
+        self.levels = samples.level if period is None else levels
+        self._samples, self._period = samples, period
+
+    @property
+    def samples(self) -> np.recarray:
+        if self._samples is None:
+            self._samples = np.rec.fromarrays(self.columns(), dtype=_SAMPLE_DTYPE)
+        return self._samples
+
+    def columns(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, ...]:
+        """The level, log2_f and running_exponent columns of records start .. stop - 1."""
+        if self._samples is not None:
+            return tuple(self._samples[name][start:stop] for name in self._samples.dtype.names)
+        levels = _level_array(self.levels[start:stop])
+        log2_f = self._period(levels)
+        return levels, log2_f, log2_f / levels
 
     @property
     def final_running_exponent(self) -> float:
-        return float(self.samples.running_exponent[-1])
+        return float(self.columns(-1)[2][0])
 
     def rows(self):
         """(n, log2_f, running_exponent) per level, as Python numbers."""
@@ -164,8 +190,8 @@ class RieszTrace:
         return zip(s.level.tolist(), s.log2_f.tolist(), s.running_exponent.tolist())
 
     def to_csv_lines(self, digits: int = 6) -> list[str]:
-        """The csv header and one line per record, rendered from the record array's columns."""
-        text = text_rows([self.samples[name] for name in self.samples.dtype.names], digits)
+        """The csv header and one line per record, rendered from the trace's columns."""
+        text = text_rows(self.columns(), digits)
         return [TRACE_CSV_HEADER, *text.split("\n")] if text else [TRACE_CSV_HEADER]
 
 
@@ -174,7 +200,9 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
 
     ``sample_levels`` restricts which levels are recorded (default: all of
     1 .. n_max) and must name 1 to MAX_TRACE_SAMPLES, checked before they are
-    stored; ``_running_sums`` walks the levels.  A rational k whose label
+    stored; a range with a positive step stays a range.  A digit stream is
+    walked here (``_stream_sums``); a rational k builds its ``_Period`` here,
+    and its rows are evaluated when they are read.  A rational k whose label
     passes Python's int-to-str limit raises ValueError before any level.
     """
     if n_max < 1:
@@ -190,8 +218,7 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
         elif not sample_levels or len(sample_levels[:MAX_TRACE_SAMPLES + 1]) > MAX_TRACE_SAMPLES:
             levels = sample_levels[:MAX_TRACE_SAMPLES + 1]      # refused below
         elif -2**63 <= sample_levels[0] and sample_levels[-1] < 2**63:
-            levels = np.arange(sample_levels[0], sample_levels[-1] + 1, sample_levels.step,
-                               dtype=np.int64)
+            levels = sample_levels
         else:
             raise OverflowError
     except OverflowError:
@@ -204,8 +231,9 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
         # np.unique hashes; dropping repeats from the sorted array is faster
         levels = np.sort(levels)
         levels = levels[np.concatenate(([True], np.diff(levels) > 0))]
-    bad = levels[(levels < 1) | (levels > n_max)]
-    if bad.size:
+    if levels[0] < 1 or levels[-1] > n_max:
+        levels = _level_array(levels)
+        bad = levels[(levels < 1) | (levels > n_max)]
         raise ValueError(f"sample levels outside 1..{n_max}: {bad.tolist()}")
 
     if isinstance(k, DigitStream):
@@ -217,60 +245,81 @@ def trace(k: WaveNumberLike, n_max: int, sample_levels=None) -> RieszTrace:
         except ValueError:      # an integer longer than sys.get_int_max_str_digits()
             raise ValueError(f"k with a {wn.denominator.bit_length()}-bit denominator "
                              f"has too many digits to print") from None
-    log2_f, extinct_at, refined = _running_sums(k, n_max, levels)
-    samples = np.rec.fromarrays((levels, log2_f, log2_f / levels), dtype=[
-        ("level", np.int64), ("log2_f", float), ("running_exponent", float)])
-    quality = ({"window": WINDOW, "near_singular_refined": refined}
-               if isinstance(k, DigitStream) else {})
-    return RieszTrace(label, samples, extinct_at, quality)
-
-
-def _running_sums(k: WaveNumberLike, n_max: int, levels: np.ndarray):
-    """(log2 f at the sorted ``levels``, extinction level or None, refined-level count).
-
-    A rational k sums its r pre-periodic levels and one period of t levels
-    (``rational_period``) in level order, into F, and a level n = r + j t + i
-    (0 <= i < t) past the head is F[r + i] + j S, where S is the period's
-    sum by ``orbit_log_sum``, taken only if a level lies past the first
-    period.  A digit stream is summed one block at a time, in level order.
-    """
     wn = as_rational(k)
     if wn is None:
-        log2_f = np.full(len(levels), _NEG_INF)
-        total = 0.0
-        refined = 0
-        for block in frac_levels(k, n_max).blocks():
-            refined += int(np.count_nonzero(block.refined))
-            steps = block_log_factors(block)
-            steps[0] += total
-            running = np.cumsum(steps)
-            total = float(running[-1])
-            first = block.start + 1
-            lo, hi = np.searchsorted(levels, [first, first + len(running)])
-            log2_f[lo:hi] = running[levels[lo:hi] - first]
-        return log2_f, None, refined
-    numerators, cycle = rational_period(wn, n_max)
-    r = len(numerators)
-    stop = min(r + len(cycle), n_max)
-    # sums[n] = log2 f_n up to level stop, the head and one period at most, in level order
-    sums = np.zeros(stop + 1)
-    for block in rational_blocks(wn, numerators, cycle, stop):
-        sums[block.start + 1:block.start + 1 + len(block.value)] = block_log_factors(block)
-    np.cumsum(sums, out=sums)
-    # a cycle still open at level n_max completes no period
-    t = len(cycle) + (2 * int(cycle[-1]) % wn.q != int(cycle[0]))
-    if wn.is_dyadic or levels[-1] < r + t:
+        levels = _level_array(levels)
+        log2_f, refined = _stream_sums(k, n_max, levels)
+        samples = np.rec.fromarrays((levels, log2_f, log2_f / levels), dtype=_SAMPLE_DTYPE)
+        return RieszTrace(label, samples, None,
+                          {"window": WINDOW, "near_singular_refined": refined})
+    period = _Period(wn, n_max, int(levels[-1]))
+    quality = {"window": WINDOW, "near_singular_refined": 0} if isinstance(k, DigitStream) else {}
+    return RieszTrace(label, None, period.extinct_at, quality, levels=levels, period=period)
+
+
+def _level_array(levels: range | np.ndarray) -> np.ndarray:
+    """A range of levels as an int64 array; an array as it is."""
+    if isinstance(levels, range):
+        return np.arange(levels.start, levels.stop, levels.step, dtype=np.int64)
+    return levels
+
+
+def _stream_sums(stream: DigitStream, n_max: int, levels: np.ndarray):
+    """(log2 f at the sorted ``levels``, refined-level count), one block at a time in level order."""
+    log2_f = np.full(len(levels), _NEG_INF)
+    total = 0.0
+    refined = 0
+    for block in frac_levels(stream, n_max).blocks():
+        refined += int(np.count_nonzero(block.refined))
+        steps = block_log_factors(block)
+        steps[0] += total
+        running = np.cumsum(steps)
+        total = float(running[-1])
+        first = block.start + 1
+        lo, hi = np.searchsorted(levels, [first, first + len(running)])
+        log2_f[lo:hi] = running[levels[lo:hi] - first]
+    return log2_f, refined
+
+
+class _Period:
+    """log2 f_n of a rational k at any levels 1 <= n <= n_max, from its head and one period.
+
+    The r pre-periodic levels and one period of t levels (``rational_period``)
+    are summed in level order into F; a level n = r + j t + i (0 <= i < t)
+    past the head is F[r + i] + j S, where S is the period's sum by
+    ``orbit_log_sum``, taken only if ``last``, the last level to be read,
+    lies past the first period.  No level at or past ``n_max`` is read.
+    """
+
+    def __init__(self, wn, n_max: int, last: int):
+        numerators, cycle = rational_period(wn, n_max)
+        r = len(numerators)
+        stop = min(r + len(cycle), n_max)
+        # sums[n] = log2 f_n up to level stop, the head and one period at most, in level order
+        sums = np.zeros(stop + 1)
+        for block in rational_blocks(wn, numerators, cycle, stop):
+            sums[block.start + 1:block.start + 1 + len(block.value)] = block_log_factors(block)
+        np.cumsum(sums, out=sums)
+        # a cycle still open at level n_max completes no period
+        t = len(cycle) + (2 * int(cycle[-1]) % wn.q != int(cycle[0]))
+        self.sums, self.r, self.t = sums, r, t
+        self.extinct_at = r if wn.is_dyadic and r < n_max else None
         # a dyadic k's level r is 0, so its sums are -inf from level r + 1 = stop on
-        return sums[np.minimum(levels, stop)], r if wn.is_dyadic and r < n_max else None, 0
-    # j in place: each new array of a long trace costs its page faults, and numpy
-    # divides by a scalar with SIMD but takes divmod and % slowly
-    j = levels - r
-    np.maximum(j, 0, out=j)
-    j //= t
-    log2_f = j * orbit_log_sum(cycle, wn.q)
-    j *= t
-    log2_f += sums[levels - j]
-    return log2_f, None, 0
+        self.S = None if wn.is_dyadic or last < r + t else orbit_log_sum(cycle, wn.q)
+
+    def __call__(self, levels: np.ndarray) -> np.ndarray:
+        """log2 f at the int64 ``levels``."""
+        if self.S is None:
+            return self.sums[np.minimum(levels, len(self.sums) - 1)]
+        # j in place: each new array of a long slice costs its page faults, and numpy
+        # divides by a scalar with SIMD but takes divmod and % slowly
+        j = levels - self.r
+        np.maximum(j, 0, out=j)
+        j //= self.t
+        log2_f = j * self.S
+        j *= self.t
+        log2_f += self.sums[levels - j]
+        return log2_f
 
 
 def _grid_density(n: int, x: np.ndarray) -> np.ndarray:
@@ -325,7 +374,7 @@ def check_log_integral(nodes: int) -> float:
     if nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
     _require_array_budget("nodes", nodes)
-    half = exact_quotients(2 * np.arange(nodes) + 1, 2 * nodes)[1]
+    half = half_distances(2 * np.arange(nodes) + 1, 2 * nodes)
     return float(np.mean(LOG2 + 2.0 * np.log(np.sin(np.pi * half))))
 
 
@@ -341,7 +390,7 @@ def check_qsum(n: int) -> tuple[float, float]:
     _require_array_budget("n", n)
     if n == 1:
         return 0.0, 0.0
-    half = exact_quotients(np.arange(1, n), n)[1]
+    half = half_distances(np.arange(1, n), n)
     lhs = float((n - 1) * LOG2 + 2.0 * np.sum(np.log(np.sin(np.pi * half))))
     rhs = 2.0 * math.log(n) - (n - 1) * LOG2
     return lhs, rhs

@@ -164,6 +164,14 @@ class TestOutputMemory:
         assert code == 0
         assert peak < 4 * n * 24      # a sample is an int64 level and two float64s
 
+    def test_a_rational_trace_prints_within_a_few_slices(self):
+        # its rows are evaluated from the period one slice at a time; all 2**20
+        # samples (an int64 level and two float64s each) would take 24 MiB
+        code, peak = _traced_peak(lambda: main(["riesz-trace", "--k", "1/9",
+                                                "--nmax", str(2**20)]))
+        assert code == 0
+        assert peak < 8 * 2**20
+
 
 class TestClosedStdout:
     """A reader that stops early (``| head -1``) gets exit 1 and no traceback."""
@@ -732,6 +740,38 @@ class TestDeterminism:
                 [sys.executable, "-m", "tmscaling", "table", "--qmax", "120"],
                 capture_output=True, check=True).stdout
         assert run() == run()
+
+
+class TestParserOnce:
+    """``main`` builds its parser on its first call and reuses it."""
+
+    def test_build_parser_runs_once_over_several_main_calls(self, run_cli, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None, raising=False)
+        built = mock.Mock(side_effect=cli.build_parser)
+        monkeypatch.setattr(cli, "build_parser", built)
+        assert run_cli("gfun", "--q", "9")[0] == 0
+        assert run_cli("table", "--qmax", "0")[0] == 2
+        assert run_cli("riesz-trace", "--k", "1/3", "--nmax", "5", "--every", "10")[0] == 2
+        assert run_cli("exponent", "--k", "3/17")[0] == 0
+        assert built.call_count == 1
+
+    # argparse refusals, a verb's refusal and help, each after a good call
+    @pytest.mark.parametrize("argv", [
+        "table --qmax 0",
+        "weyl --stream random:1 --samples 0",
+        "riesz-trace --k 1/3 --nmax 5 --every 10",
+        "exponent",
+        "nosuchverb",
+        "--help",
+        "riesz-trace --help",
+    ])
+    def test_a_reused_parser_prints_what_a_fresh_process_prints(self, run_cli, monkeypatch,
+                                                                argv):
+        monkeypatch.setenv("COLUMNS", "80")     # help wraps at the terminal width
+        assert run_cli("riesz-trace", "--k", "1/9", "--nmax", "40")[0] == 0
+        child = subprocess.run([sys.executable, "-m", "tmscaling", *shlex.split(argv)],
+                               capture_output=True, text=True, timeout=60)
+        assert run_cli(*shlex.split(argv)) == (child.returncode, child.stdout, child.stderr)
 
 
 class TestInvocationHeader:

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from tmscaling import cli, riesz, wavenumber
 from tmscaling.exponents import beta_rational
 from tmscaling.expansions import weyl_diagnostics
+from tmscaling.numtheory import doubling_orbit
 from tmscaling.riesz import (
     RieszTrace,
     check_log_integral,
@@ -404,6 +405,69 @@ class TestOnePeriod:
         assert libm.call_count == 2
 
 
+def reference_samples(k, n_max: int, levels) -> np.recarray:
+    """The records of a rational trace by the one-period formula, over every level at once.
+
+    F sums the head and one period in level order, and level n reads
+    j = max(n - r, 0) // t, log2_f = j S + F[n - j t], running = log2_f / n,
+    with S the period's sum, taken only if a level lies past the first period.
+    """
+    wn = as_wave_number(k)
+    r, t = min(wn.r, n_max), len(doubling_orbit(wn.m, wn.q))
+    stop = min(r + t, n_max)
+    sums = np.zeros(stop + 1)
+    for block in frac_levels(k, stop).blocks():
+        sums[block.start + 1:block.start + 1 + len(block.value)] = riesz.block_log_factors(block)
+    sums = np.cumsum(sums)
+    levels = np.array(levels, dtype=np.int64)
+    if levels[-1] < r + t:
+        log2_f = sums[levels]
+    else:
+        j = np.maximum(levels - r, 0) // t
+        log2_f = j * riesz.orbit_log_sum(doubling_orbit(wn.m, wn.q), wn.q) + sums[levels - j * t]
+    return np.rec.fromarrays((levels, log2_f, log2_f / levels),
+                             names=("level", "log2_f", "running_exponent"))
+
+
+class TestPeriodSlices:
+    """A rational trace keeps its period and evaluates any slice of its levels from it."""
+
+    # p/(2**r q) with odd q < 10**4 and r <= 8; up to 100 levels of a positive-step
+    # range, within or far past the first period
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(1, 4999).map(lambda i: 2 * i + 1), p=st.integers(1, 10 ** 6),
+           r=st.integers(0, 8), start=st.integers(1, 10 ** 5), step=st.integers(1, 10 ** 4),
+           count=st.integers(1, 100), extra=st.integers(0, 1000))
+    def test_slices_render_the_whole_trace_and_samples_keep_the_formula(
+            self, q, p, r, start, step, count, extra):
+        assume(p % q)
+        k = Fraction(p, q << r)
+        levels = range(start, start + step * count, step)
+        n_max = levels[-1] + extra
+        tr = trace(k, n_max, sample_levels=levels)
+        assert tr.levels == levels
+        whole = "\n".join(tr.to_csv_lines()) + "\n"
+        for size in (1, 2, 7, cli._ORBIT_SLICE):
+            with mock.patch.object(cli, "_ORBIT_SLICE", size):
+                *_, header, pieces = cli._trace_output("csv", 6, tr, [])
+                assert f"{header}\n{''.join(pieces)}\n" == whole, size
+        expected = reference_samples(k, n_max, levels)
+        assert tr.samples.dtype == expected.dtype
+        assert tr.samples.tobytes() == expected.tobytes()
+        assert tr.final_running_exponent == expected.running_exponent[-1]
+
+    def test_the_last_record_is_read_without_the_others(self):
+        tracemalloc.start()
+        try:
+            tr = trace(Fraction(1, 9), 2 ** 22)
+            last = tr.final_running_exponent
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20     # the records at the cap take 96 MiB
+        assert last == tr.samples.running_exponent[-1]
+
+
 def per_value_format(x: float, digits: int) -> str:
     """The rendering trace rows used to get, one value at a time."""
     if math.isinf(x):
@@ -559,6 +623,6 @@ def test_levels_below_the_domain_are_refused(call, message):
 def test_analytic_checks_run_up_to_the_budget_and_refuse_past_it(check, monkeypatch):
     monkeypatch.setattr(riesz.numtheory, "MAX_ORBIT_LENGTH", 64)
     check(64)
-    with mock.patch.object(riesz, "exact_quotients", side_effect=AssertionError), \
+    with mock.patch.object(riesz, "half_distances", side_effect=AssertionError), \
             pytest.raises(ValueError, match=re.escape("= 65 is above the budget of MAX_ORBIT_LENGTH = 64")):
         check(65)
